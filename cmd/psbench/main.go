@@ -21,10 +21,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -66,8 +68,11 @@ type plasticityBench struct {
 // integrate+potentiate+depress sweep over one synapse matrix, once through
 // the per-synapse fixed.Format helpers and once through the word-parallel
 // fixed.Packing kernels the sealed synapse.Matrix uses (DESIGN.md §14).
-// Both sides must finish in the same weight state; the speedup is pure
-// lane parallelism.
+// Both sides must finish in the same weight state and the same currents;
+// the speedup is pure lane parallelism. The multi_* fields time the
+// step-shaped integrate on their own: a train-fast-like step's spiking
+// rows added one row at a time (AccumulateRange per row) against the
+// register-blocked AccumulateRows, which must produce the same currents.
 type swarBench struct {
 	Format        string  `json:"format"`
 	Lanes         int     `json:"lanes"`
@@ -78,6 +83,13 @@ type swarBench struct {
 	ScalarMSynSec float64 `json:"scalar_msyn_per_sec"`
 	SwarMSynSec   float64 `json:"swar_msyn_per_sec"`
 	Speedup       float64 `json:"speedup"` // scalar_ns / swar_ns
+
+	MultiRowsPerStep int     `json:"multi_rows_per_step"`
+	MultiLanes       int     `json:"multi_lanes"`
+	MultiSteps       int     `json:"multi_steps"`
+	MultiPerRowNs    int64   `json:"multi_per_row_ns"`
+	MultiBlockedNs   int64   `json:"multi_blocked_ns"`
+	MultiSpeedup     float64 `json:"multi_speedup"` // multi_per_row_ns / multi_blocked_ns
 }
 
 // encodeBench is the dense-scan vs sparse event-stream encode comparison
@@ -570,6 +582,10 @@ func main() {
 		swarCmp = &sw
 		fmt.Printf("swar %s (%d lanes/word): scalar %.1f Msyn/s, packed %.1f Msyn/s — %.2fx\n",
 			sw.Format, sw.Lanes, sw.ScalarMSynSec, sw.SwarMSynSec, sw.Speedup)
+		fmt.Printf("swar %s multi-row (%d rows × %d lanes per step): per-row %.2f µs/step, blocked %.2f µs/step — %.2fx\n",
+			sw.Format, sw.MultiRowsPerStep, sw.MultiLanes,
+			float64(sw.MultiPerRowNs)/1e3/float64(sw.MultiSteps), float64(sw.MultiBlockedNs)/1e3/float64(sw.MultiSteps),
+			sw.MultiSpeedup)
 	} else {
 		fmt.Printf("swar probe skipped: %s has no packed representation\n", probeFormat)
 	}
@@ -726,10 +742,11 @@ func plasticityThroughput(workers int) (plasticityBench, error) {
 // integrate every row into the current vector, potentiate every synapse one
 // step, depress it back one step. The select mask is built once, mirroring
 // how the lazy queue amortises mask construction across a row's events.
-// Both passes must end in the bit-identical weight state — the kernels'
-// contract — so a divergence fails the probe rather than reporting a bogus
-// speedup. Best of three interleaved trials per side, as in
-// plasticityThroughput.
+// Both passes must end in the bit-identical weight state and current
+// vector — the kernels' contract — so a divergence fails the probe rather
+// than reporting a bogus speedup. Best of three interleaved trials per
+// side, as in plasticityThroughput. multiRowProbe then times the
+// step-shaped integrate on the same codes.
 func swarProbe(f fixed.Format) (swarBench, error) {
 	const (
 		nPre  = 784
@@ -749,7 +766,7 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 	}
 	wpr := pk.WordsFor(nPost)
 
-	scalarPass := func() (time.Duration, []float64) {
+	scalarPass := func() (time.Duration, []float64, []float64) {
 		g := make([]fixed.Weight, nSyn)
 		for i, c := range codes {
 			g[i] = fixed.Weight(f.FromCode(c))
@@ -776,10 +793,10 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 		for i, w := range g {
 			out[i] = float64(w)
 		}
-		return wall, out
+		return wall, out, cur
 	}
 
-	swarPass := func() (time.Duration, []float64) {
+	swarPass := func() (time.Duration, []float64, []float64) {
 		words := pk.Pack(codes)
 		cur := make([]float64, nPost)
 		sel := pk.NewSelect(nPost)
@@ -800,17 +817,18 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 		for _, c := range pk.Unpack(words, nSyn, nil) {
 			out = append(out, f.FromCode(c))
 		}
-		return wall, out
+		return wall, out, cur
 	}
 
 	const trials = 3
 	var scalarWall, swarWall time.Duration
-	var scalarG, swarG []float64
+	var scalarG, swarG, scalarCur, swarCur []float64
 	for trial := 0; trial < trials; trial++ {
-		sd, sg := scalarPass()
-		wd, wg := swarPass()
+		sd, sg, sc := scalarPass()
+		wd, wg, wc := swarPass()
 		if trial == 0 {
 			scalarG, swarG = sg, wg
+			scalarCur, swarCur = sc, wc
 			scalarWall, swarWall = sd, wd
 			continue
 		}
@@ -821,11 +839,15 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 			swarWall = wd
 		}
 	}
-	for i := range scalarG {
-		if scalarG[i] != swarG[i] {
-			return swarBench{}, fmt.Errorf("scalar and packed kernels diverged at synapse %d: %v vs %v",
-				i, scalarG[i], swarG[i])
-		}
+	if err := sameBits("scalar and packed weights (synapse)", scalarG, swarG); err != nil {
+		return swarBench{}, err
+	}
+	if err := sameBits("scalar and packed integrate (current)", scalarCur, swarCur); err != nil {
+		return swarBench{}, err
+	}
+	perRow, blocked, err := multiRowProbe(pk, codes, nPre, nPost, amp)
+	if err != nil {
+		return swarBench{}, err
 	}
 	msyn := func(d time.Duration) float64 {
 		return float64(nSyn) * reps / d.Seconds() / 1e6
@@ -840,7 +862,89 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 		ScalarMSynSec: msyn(scalarWall),
 		SwarMSynSec:   msyn(swarWall),
 		Speedup:       float64(scalarWall) / float64(swarWall),
+
+		MultiRowsPerStep: multiRowsPerStep,
+		MultiLanes:       multiLanes,
+		MultiSteps:       multiSteps,
+		MultiPerRowNs:    perRow.Nanoseconds(),
+		MultiBlockedNs:   blocked.Nanoseconds(),
+		MultiSpeedup:     float64(perRow) / float64(blocked),
 	}, nil
+}
+
+// multiRowProbe's step shape: train-fast averages 8.65 input spikes per
+// step, and one worker of the 2-worker pool owns 500 of the 1000 neurons.
+const (
+	multiRowsPerStep = 9
+	multiLanes       = 500
+	multiSteps       = 2000
+)
+
+// multiRowProbe times train-fast's integrate step shape over the probe's
+// codes: each of multiSteps steps adds multiRowsPerStep spiking rows into
+// multiLanes currents. The per-row pass calls AccumulateRange once per
+// spiking row, the form the network used before AccumulateRows; the
+// blocked pass calls AccumulateRows once per step. Both must leave
+// bit-identical currents. Best of three interleaved trials per side.
+func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float64) (perRow, blocked time.Duration, err error) {
+	words := pk.Pack(codes)
+	wpr := pk.WordsFor(nPost)
+	// Ascending spike lists, as plan replay delivers them, spread over the
+	// input rows by a fixed stride so consecutive steps touch different rows.
+	rows := make([][]int, multiSteps)
+	for s := range rows {
+		r := make([]int, multiRowsPerStep)
+		for k := range r {
+			r[k] = (s*37 + k*(nPre/multiRowsPerStep)) % nPre
+		}
+		sort.Ints(r)
+		rows[s] = r
+	}
+	perRowPass := func() (time.Duration, []float64) {
+		cur := make([]float64, multiLanes)
+		start := time.Now()
+		for _, step := range rows {
+			for _, pre := range step {
+				pk.AccumulateRange(words[pre*wpr:(pre+1)*wpr], amp, cur, 0, multiLanes)
+			}
+		}
+		return time.Since(start), cur
+	}
+	blockedPass := func() (time.Duration, []float64) {
+		cur := make([]float64, multiLanes)
+		start := time.Now()
+		for _, step := range rows {
+			pk.AccumulateRows(words, wpr, step, amp, cur, 0, multiLanes)
+		}
+		return time.Since(start), cur
+	}
+	for trial := 0; trial < 3; trial++ {
+		pd, pc := perRowPass()
+		bd, bc := blockedPass()
+		if err := sameBits("per-row and blocked multi-row integrate (current)", pc, bc); err != nil {
+			return 0, 0, err
+		}
+		if trial == 0 || pd < perRow {
+			perRow = pd
+		}
+		if trial == 0 || bd < blocked {
+			blocked = bd
+		}
+	}
+	return perRow, blocked, nil
+}
+
+// sameBits fails unless a and b hold the same float64 bit patterns.
+func sameBits(what string, a, b []float64) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%s: %d vs %d values", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return fmt.Errorf("%s diverged at %d: %v vs %v", what, i, a[i], b[i])
+		}
+	}
+	return nil
 }
 
 // encodeProbe times one full presentation's spike encoding twice: the dense

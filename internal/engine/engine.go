@@ -2,14 +2,15 @@
 // paper's CUDA GPU: a data-parallel range executor backed by a persistent
 // goroutine worker pool.
 //
-// The simulator's hot loops — input-current accumulation, LIF integration,
-// and pre-spike depression — are all "for each element in [0, n)" kernels
-// over disjoint state, exactly the shape the paper launches as GPU thread
-// grids. Executor.For partitions such a range into one contiguous chunk per
-// worker. Because every stochastic decision in the simulator is
-// counter-based (see internal/rng), the parallel executor is bit-identical
-// to the sequential one; TestParallelMatchesSequential in the network
-// package pins that property.
+// The simulator's hot loops — the per-step integrate (current decay,
+// multi-row input accumulation and LIF update, fused into one dispatch over
+// the neurons), the dense post-spike column update and the lazy row drain —
+// are all "for each element in [0, n)" kernels over disjoint state, exactly
+// the shape the paper launches as GPU thread grids. Executor.For partitions
+// such a range into one contiguous chunk per worker. Because every
+// stochastic decision in the simulator is counter-based (see internal/rng),
+// the parallel executor is bit-identical to the sequential one;
+// TestParallelMatchesSequential in the network package pins that property.
 package engine
 
 import (

@@ -38,3 +38,24 @@ func TestNoAllocPackedKernels(t *testing.T) {
 		}
 	}
 }
+
+func TestNoAllocAccumulateRows(t *testing.T) {
+	rows := []int{0, 2, 2, 1}
+	for _, f := range []Format{Q0p2, Q0p4, Q1p7, Q1p15} {
+		pk, err := f.Packing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 45 // register blocks plus a partial tail for every width
+		stride := pk.WordsFor(n)
+		words := make([]Word, 3*stride)
+		cur := make([]float64, n)
+		avg := testing.AllocsPerRun(100, func() {
+			pk.AccumulateRows(words, stride, rows, 0.5, cur, 0, n)
+			pk.AccumulateRows(words, stride, rows, 0.5, cur, 3, 7) // no full block
+		})
+		if avg != 0 {
+			t.Errorf("%s: AccumulateRows allocates %.1f per run, want 0", f, avg)
+		}
+	}
+}

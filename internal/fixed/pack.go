@@ -306,11 +306,12 @@ func (p *Packing) DecSat(words []Word, i int, floor uint32) uint32 {
 }
 
 // AccumulateRange adds Value(code_i)·amp into cur[i] for every lane i in
-// [lo, hi) — the word-parallel inner loop of eq. 3. Each 64-bit load
-// delivers up to 32 conductances and the LUT dequantizes without touching
-// the wide matrix again, so the walk runs at packed-row memory bandwidth.
-// The additions happen in ascending lane order, preserving the float
-// summation order of the scalar loop it replaces (bit-identity).
+// [lo, hi) — eq. 3 for a single row. Each 64-bit load delivers up to 32
+// conductances and the LUT dequantizes without touching the wide matrix
+// again. Every lane gets one rounded product and one rounded add; the
+// explicit float64 conversion forbids fusing the two into an FMA, so the
+// sums are the same on every architecture. AccumulateRows uses this for the
+// lanes outside its register blocks.
 //
 //psslint:noalloc
 func (p *Packing) AccumulateRange(words []Word, amp float64, cur []float64, lo, hi int) {
@@ -322,7 +323,7 @@ func (p *Packing) AccumulateRange(words []Word, amp float64, cur []float64, lo, 
 				end = hi
 			}
 			for ; i < end; i++ {
-				cur[i] += lut[w&p.laneMask] * amp
+				cur[i] += float64(lut[w&p.laneMask] * amp)
 				w >>= p.width
 			}
 		}
@@ -335,8 +336,159 @@ func (p *Packing) AccumulateRange(words []Word, amp float64, cur []float64, lo, 
 			end = hi
 		}
 		for ; i < end; i++ {
-			cur[i] += float64(w&p.laneMask) * p.step * amp
+			cur[i] += float64(float64(w&p.laneMask) * p.step * amp)
 			w >>= p.width
 		}
+	}
+}
+
+// blockLanes is the register block of AccumulateRows: the number of lane
+// accumulators held in locals while the kernel walks a step's spiking
+// rows. Eight float64 accumulators take half of amd64's sixteen vector
+// registers, leaving the rest for the table values in flight. Lane counts
+// per word (32, 16, 8) are multiples of it and a 16-bit block spans
+// exactly two words.
+const blockLanes = 8
+
+// AccumulateRows adds Value(code)·amp of every row listed in rows into
+// cur[i], for each lane i in [lo, hi) — eq. 3 for one step's spiking
+// inputs at once. words holds the rows back to back, stride words each, so
+// row r starts at words[r·stride].
+//
+// The per-row form (AccumulateRange once per row) loads, updates and
+// stores every cur[i] once per row. Here each block of blockLanes lanes is
+// loaded into locals once, every row's word adds into them, and the block
+// is stored once. For ≤8-bit lanes the products come from a copy of the
+// dequant LUT scaled by amp, built once per call. Each lane still receives
+// the same rounded products, added in the same (rows) order, as the
+// per-row form, so the sums are bit-identical; duplicate rows add twice,
+// as they would there. Lanes before the first and after the last full
+// block take the per-row form.
+//
+//psslint:noalloc
+func (p *Packing) AccumulateRows(words []Word, stride int, rows []int, amp float64, cur []float64, lo, hi int) {
+	if len(rows) == 0 || lo >= hi {
+		return
+	}
+	blo := (lo + blockLanes - 1) &^ (blockLanes - 1)
+	bhi := hi &^ (blockLanes - 1)
+	if blo >= bhi || (p.lut == nil && p.width != 16) {
+		// No full block, or 32-bit lanes (two per word), which only a
+		// hand-built Format literal reaches: NewFormat caps formats at 31
+		// bits.
+		p.accumulateEach(words, stride, rows, amp, cur, lo, hi)
+		return
+	}
+	p.accumulateEach(words, stride, rows, amp, cur, lo, blo)
+	if p.lut != nil {
+		var t [256]float64
+		for c, v := range p.lut {
+			t[c] = v * amp
+		}
+		if p.width == 8 {
+			accumulateBlocks8(words, stride, rows, &t, cur, blo, bhi)
+		} else {
+			p.accumulateBlocksLUT(words, stride, rows, &t, cur, blo, bhi)
+		}
+	} else {
+		p.accumulateBlocks16(words, stride, rows, amp, cur, blo, bhi)
+	}
+	p.accumulateEach(words, stride, rows, amp, cur, bhi, hi)
+}
+
+// accumulateEach is the per-row form of AccumulateRows.
+func (p *Packing) accumulateEach(words []Word, stride int, rows []int, amp float64, cur []float64, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	for _, r := range rows {
+		p.AccumulateRange(words[r*stride:(r+1)*stride], amp, cur, lo, hi)
+	}
+}
+
+// accumulateBlocks8 runs the register blocks of AccumulateRows for 8-bit
+// lanes (Q1.7, the paper's headline format); t is the amp-scaled LUT and
+// [lo, hi) is block-aligned. A block is one word, so one load per row
+// feeds all eight accumulators, and the constant byte shifts index the
+// 256-entry table without a bounds check. It measures about 30% faster
+// than the variable-width form below.
+func accumulateBlocks8(words []Word, stride int, rows []int, t *[256]float64, cur []float64, lo, hi int) {
+	for b := lo; b < hi; b += blockLanes {
+		wi := b / 8
+		c := cur[b : b+blockLanes : b+blockLanes]
+		a0, a1, a2, a3, a4, a5, a6, a7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+		for _, r := range rows {
+			x := words[r*stride+wi]
+			a0 += t[uint8(x)]
+			a1 += t[uint8(x>>8)]
+			a2 += t[uint8(x>>16)]
+			a3 += t[uint8(x>>24)]
+			a4 += t[uint8(x>>32)]
+			a5 += t[uint8(x>>40)]
+			a6 += t[uint8(x>>48)]
+			a7 += t[uint8(x>>56)]
+		}
+		c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+}
+
+// accumulateBlocksLUT runs the register blocks of AccumulateRows for 2-
+// and 4-bit lanes; t is the amp-scaled LUT and [lo, hi) is block-aligned.
+// A block is 8·width bits of one word, so one load per row feeds all eight
+// accumulators. Indexing the 256-entry table with a uint8 needs no bounds
+// check.
+func (p *Packing) accumulateBlocksLUT(words []Word, stride int, rows []int, t *[256]float64, cur []float64, lo, hi int) {
+	w := p.width & 63 // masked: the shifts below need no overflow check
+	m := uint8(p.laneMask)
+	for b := lo; b < hi; b += blockLanes {
+		wi := b / p.lanes
+		sh := uint(b%p.lanes) * w & 63
+		c := cur[b : b+blockLanes : b+blockLanes]
+		a0, a1, a2, a3, a4, a5, a6, a7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+		for _, r := range rows {
+			x := words[r*stride+wi] >> sh
+			a0 += t[uint8(x)&m]
+			x >>= w
+			a1 += t[uint8(x)&m]
+			x >>= w
+			a2 += t[uint8(x)&m]
+			x >>= w
+			a3 += t[uint8(x)&m]
+			x >>= w
+			a4 += t[uint8(x)&m]
+			x >>= w
+			a5 += t[uint8(x)&m]
+			x >>= w
+			a6 += t[uint8(x)&m]
+			x >>= w
+			a7 += t[uint8(x)&m]
+		}
+		c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+}
+
+// accumulateBlocks16 runs the register blocks of AccumulateRows for 16-bit
+// lanes. A block spans two words of four lanes.
+// There is no LUT, so each add takes the product float64(c)·step·amp in
+// the same order and rounding as AccumulateRange.
+func (p *Packing) accumulateBlocks16(words []Word, stride int, rows []int, amp float64, cur []float64, lo, hi int) {
+	step := p.step
+	for b := lo; b < hi; b += blockLanes {
+		wi := b / 4
+		c := cur[b : b+blockLanes : b+blockLanes]
+		a0, a1, a2, a3, a4, a5, a6, a7 := c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]
+		for _, r := range rows {
+			pair := words[r*stride+wi : r*stride+wi+2 : r*stride+wi+2]
+			x, y := pair[0], pair[1]
+			a0 += float64(float64(uint16(x)) * step * amp)
+			a1 += float64(float64(uint16(x>>16)) * step * amp)
+			a2 += float64(float64(uint16(x>>32)) * step * amp)
+			a3 += float64(float64(uint16(x>>48)) * step * amp)
+			a4 += float64(float64(uint16(y)) * step * amp)
+			a5 += float64(float64(uint16(y>>16)) * step * amp)
+			a6 += float64(float64(uint16(y>>32)) * step * amp)
+			a7 += float64(float64(uint16(y>>48)) * step * amp)
+		}
+		c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = a0, a1, a2, a3, a4, a5, a6, a7
 	}
 }

@@ -11,7 +11,7 @@ import (
 // lane widths (32, 16, 8 and 4 lanes per word).
 var packableFormats = []Format{Q0p2, Q0p4, Q1p7, Q1p15}
 
-func mustPacking(t *testing.T, f Format) *Packing {
+func mustPacking(t testing.TB, f Format) *Packing {
 	t.Helper()
 	p, err := f.Packing()
 	if err != nil {

@@ -321,8 +321,8 @@ func (e *Engine) run(s *scratch, dt float64) int {
 		s.in = s.plan.Step(step, s.in[:0])
 		inputSpikes += len(s.in)
 
-		// (2) Input current accumulation (eq. 3), spike-major like the
-		// training kernel.
+		// (2) Input current accumulation (eq. 3) through the multi-row
+		// kernel the training path uses.
 		cur := s.current
 		if e.decay == 0 {
 			for i := range cur {
@@ -333,9 +333,7 @@ func (e *Engine) run(s *scratch, dt float64) int {
 				cur[i] *= e.decay
 			}
 		}
-		for _, pre := range s.in {
-			e.syn.AccumulateCurrent(pre, amp, cur)
-		}
+		e.syn.AccumulateSpikesRange(s.in, amp, cur, 0, len(cur))
 
 		// (3) LIF integration: collect threshold crossers, then let the
 		// winner-take-all pick — through the same SelectWinner the training

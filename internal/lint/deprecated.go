@@ -21,7 +21,7 @@ var (
 //	engine.NewPool(...)   -> engine.New(n) / engine.New(engine.Auto)
 //	engine.Sequential{}   -> engine.New(1)
 //	learn.NewTrainer(...) -> learn.New(net, opts) with opts.NumClasses set
-//	(*synapse.Matrix).Row -> At / AccumulateCurrentRange / ForEachRow
+//	(*synapse.Matrix).Row -> At / AccumulateSpikesRange / ForEachRow
 //
 // Unlike the grep this replaces, the check resolves each use through the
 // type checker, so renamed imports, line breaks, or look-alike identifiers
@@ -51,7 +51,7 @@ func runDeprecated(pass *Pass) error {
 				case isPkgFunc(obj, learnPkgPath, "NewTrainer"):
 					pass.Report(n.Pos(), "learn.NewTrainer is deprecated; use learn.New with Options.NumClasses")
 				case isMethodOf(obj, synapsePkgPath, "Matrix", "Row"):
-					pass.Report(n.Pos(), "synapse.Matrix.Row was removed with the sealed storage API (PR 7 grace period ended); use At, AccumulateCurrentRange or ForEachRow")
+					pass.Report(n.Pos(), "synapse.Matrix.Row was removed with the sealed storage API (PR 7 grace period ended); use At, AccumulateSpikesRange or ForEachRow")
 				}
 			case *ast.CompositeLit:
 				if tn := namedTypeOf(pass.TypesInfo, n); tn != nil &&

@@ -145,7 +145,7 @@ func TestNoAllocFuncsKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "internal/synapse/matrix.go:(*Matrix).AccumulateCurrentRange"
+	want := "internal/synapse/matrix.go:(*Matrix).AccumulateSpikesRange"
 	found := false
 	for _, f := range funcs {
 		if f.Key(root) == want {

@@ -14,7 +14,7 @@ import (
 // testing.AllocsPerRun gates, not by this AST pass.
 //
 //	//psslint:noalloc
-//	func (m *Matrix) AccumulateCurrentRange(...) { ... }
+//	func (m *Matrix) AccumulateSpikesRange(...) { ... }
 const NoAllocDirective = "psslint:noalloc"
 
 // HotAllocAnalyzer is the fast, source-level half of the zero-alloc

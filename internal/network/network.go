@@ -8,16 +8,20 @@
 //
 // The per-step schedule keeps STDP causality clean:
 //
-//  1. generate this step's input spikes;
-//  2. stochastic-rule depression for each input spike against earlier
-//     post spikes (eq. 7 — anti-causal pairs only, so this runs before the
-//     neurons integrate);
-//  3. accumulate input current (eq. 3), optionally through an exponential
-//     synaptic trace;
-//  4. record the new pre-spike times;
-//  5. integrate the LIF layer (eqs. 1–2);
-//  6. for each post spike: learning-rule potentiation (eq. 6 / eqs. 4–5),
-//     inhibition of the other neurons, post-spike time update.
+//  1. replay this step's input spikes from the presentation's sparse spike
+//     plan; in lazy mode, then bring the spiking rows up to date with the
+//     deferred post-spike updates;
+//  2. integrate, in one engine dispatch over the neuron range: decay the
+//     synaptic current, accumulate the input spikes into it (eq. 3) with
+//     the multi-row synapse kernel, and step the LIF layer (eqs. 1–2),
+//     collecting threshold crossers;
+//  3. record the new pre-spike times;
+//  4. winner-take-all among the crossers, then for the post spike: the
+//     learning rule's update of its synapse column — deterministic eqs.
+//     4–5, or stochastic eq. 6 potentiation and eq. 7 depression
+//     (StochParams.PDepEvent) — applied at once in dense mode or deferred
+//     to each row's next spike in lazy mode; inhibition of the other
+//     neurons; post-spike time update.
 //
 // All kernels run through an engine.Executor; with counter-based RNG the
 // parallel pool is bit-identical to sequential execution.
@@ -489,7 +493,7 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 	n.Exc.ResetMembranes()
 	n.Exc.FreezeTheta = !learn // evaluation mode: homeostasis frozen
 	n.resetTimers()
-	countsBefore := append([]int(nil), asInts(n.Exc.SpikeCounts())...)
+	countsBefore := asInts(n.Exc.SpikeCounts())
 
 	dt := n.Cfg.DTms
 	decay := 0.0
@@ -536,7 +540,12 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 			n.obsPlast.Stop(tp)
 		}
 
-		// (2) Input current accumulation (eq. 3).
+		// (2) Integrate, in one dispatch over the neuron range: decay the
+		// synaptic current, accumulate this step's input spikes into it
+		// (eq. 3) and step the LIF membranes (eqs. 1–2), collecting
+		// threshold crossers without committing spikes yet. Each worker
+		// reads and writes only its own [lo, hi) of the current and
+		// membranes, so no barrier is needed between the three.
 		tInt := n.obsIntegrate.Start()
 		n.exec.For(n.Cfg.NumNeurons, func(chunk, lo, hi int) {
 			cur := n.current
@@ -549,26 +558,19 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 					cur[i] *= decay
 				}
 			}
-			amp := n.Cfg.SpikeAmp
-			for _, pre := range inputSpikes {
-				n.Syn.AccumulateCurrentRange(pre, amp, cur, lo, hi)
-			}
-		})
-
-		// (3) Pre-spike time bookkeeping.
-		for _, pre := range inputSpikes {
-			n.lastPre[pre] = now
-		}
-
-		// (4) LIF integration: collect threshold crossers without
-		// committing spikes yet.
-		n.exec.For(n.Cfg.NumNeurons, func(chunk, lo, hi int) {
-			n.spikeBufs[chunk] = n.Exc.CandidatesRange(lo, hi, dt, now, n.current, n.spikeBufs[chunk][:0])
+			n.Syn.AccumulateSpikesRange(inputSpikes, n.Cfg.SpikeAmp, cur, lo, hi)
+			n.spikeBufs[chunk] = n.Exc.CandidatesRange(lo, hi, dt, now, cur, n.spikeBufs[chunk][:0])
 		})
 		n.obsIntegrate.Stop(tInt)
 		candidates := mergeBufs(n.spikeBufs[:n.exec.Workers()])
 
-		// (5) Winner-take-all + post-spike learning. With inhibition
+		// (3) Pre-spike time bookkeeping. Neither integrate kernel reads
+		// lastPre; the post-spike learning below does.
+		for _, pre := range inputSpikes {
+			n.lastPre[pre] = now
+		}
+
+		// (4) Winner-take-all + post-spike learning. With inhibition
 		// enabled, only the strongest same-step crosser fires (it would
 		// have crossed first in continuous time and its layer-2 relay
 		// inhibits the rest); the losers are suppressed.

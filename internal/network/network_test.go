@@ -237,46 +237,83 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// The central reproducibility claim: the worker-pool engine produces
 	// bit-identical results to sequential execution, for both rules.
 	data := dataset.SynthDigits(6, 3)
+	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 150}
 	for _, kind := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
-		cfg := testConfig(t, kind, 23) // odd count: uneven partitions
-		seqNet, err := New(cfg)
+		// odd count: uneven partitions
+		checkParallelMatchesSequential(t, kind.String(), testConfig(t, kind, 23), 4, ctl, data)
+	}
+}
+
+// TestParallelMatchesSequentialPacked is TestParallelMatchesSequential at
+// the paper's layer width on every packed format. 1000 neurons over 3
+// workers gives chunks of 334/333/333 lanes: every chunk starts or ends
+// inside a word, so the integrate kernel runs its register-blocked body
+// and its per-row edges on each side of a chunk boundary.
+func TestParallelMatchesSequentialPacked(t *testing.T) {
+	data := dataset.SynthDigits(3, 5)
+	ctl := encode.Control{Band: encode.HighFrequencyBand(), TLearnMS: 100}
+	for _, preset := range []synapse.Preset{synapse.Preset2Bit, synapse.Preset4Bit, synapse.Preset8Bit, synapse.Preset16Bit} {
+		syn, _, err := synapse.PresetConfig(preset, synapse.Stochastic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := engine.New(4)
-		defer pool.Close()
-		parNet, err := New(cfg, WithExecutor(pool))
-		if err != nil {
-			t.Fatal(err)
+		syn.Seed = 42
+		checkParallelMatchesSequential(t, string(preset), DefaultConfig(28*28, 1000, syn), 3, ctl, data)
+	}
+}
+
+// checkParallelMatchesSequential trains one network sequentially and one
+// on a pool of the given width over the same images and fails unless spike
+// counts, weights and membranes match exactly. It also compares the
+// synaptic current after every presentation: under winner-take-all most
+// membranes end a presentation clamped at reset, which would hide an
+// integrate kernel that dropped a few lanes' input.
+func checkParallelMatchesSequential(t *testing.T, name string, cfg Config, workers int, ctl encode.Control, data *dataset.Dataset) {
+	t.Helper()
+	seqNet, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := engine.New(workers)
+	defer pool.Close()
+	parNet, err := New(cfg, WithExecutor(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < data.Len(); i++ {
+		rs, err1 := seqNet.Present(data.Images[i], ctl, true, nil)
+		rp, err2 := parNet.Present(data.Images[i], ctl, true, nil)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
 		}
-		ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 150}
-		for i := 0; i < data.Len(); i++ {
-			rs, err1 := seqNet.Present(data.Images[i], ctl, true, nil)
-			rp, err2 := parNet.Present(data.Images[i], ctl, true, nil)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			for n := range rs.SpikeCounts {
-				if rs.SpikeCounts[n] != rp.SpikeCounts[n] {
-					t.Fatalf("%v: image %d neuron %d spikes differ: %d vs %d",
-						kind, i, n, rs.SpikeCounts[n], rp.SpikeCounts[n])
-				}
-			}
-			if rs.InputSpikes != rp.InputSpikes {
-				t.Fatalf("%v: image %d input spikes differ", kind, i)
+		for n := range rs.SpikeCounts {
+			if rs.SpikeCounts[n] != rp.SpikeCounts[n] {
+				t.Fatalf("%s: image %d neuron %d spikes differ: %d vs %d",
+					name, i, n, rs.SpikeCounts[n], rp.SpikeCounts[n])
 			}
 		}
-		ws, wp := seqNet.Syn.Weights(), parNet.Syn.Weights()
-		for i := range ws {
-			if ws[i] != wp[i] {
-				t.Fatalf("%v: conductance %d diverged: %v vs %v",
-					kind, i, ws[i], wp[i])
+		if rs.InputSpikes != rp.InputSpikes {
+			t.Fatalf("%s: image %d input spikes differ", name, i)
+		}
+		for n := range seqNet.current {
+			if math.Float64bits(seqNet.current[n]) != math.Float64bits(parNet.current[n]) {
+				t.Fatalf("%s: image %d current %d diverged: %v vs %v",
+					name, i, n, seqNet.current[n], parNet.current[n])
 			}
 		}
-		for i := range seqNet.Exc.V {
-			if seqNet.Exc.V[i] != parNet.Exc.V[i] {
-				t.Fatalf("%v: membrane %d diverged", kind, i)
-			}
+	}
+	if seqNet.TotalExcSpikes == 0 {
+		t.Fatalf("%s: no neuron fired; the wall would compare silent layers", name)
+	}
+	ws, wp := seqNet.Syn.Weights(), parNet.Syn.Weights()
+	for i := range ws {
+		if ws[i] != wp[i] {
+			t.Fatalf("%s: conductance %d diverged: %v vs %v", name, i, ws[i], wp[i])
+		}
+	}
+	for i := range seqNet.Exc.V {
+		if math.Float64bits(seqNet.Exc.V[i]) != math.Float64bits(parNet.Exc.V[i]) {
+			t.Fatalf("%s: membrane %d diverged: %v vs %v", name, i, seqNet.Exc.V[i], parNet.Exc.V[i])
 		}
 	}
 }

@@ -231,29 +231,26 @@ func (m *Matrix) Stats() (minG, maxG, mean float64) {
 	return minG, maxG, sum / float64(m.Len())
 }
 
-// AccumulateCurrent adds g·amp into current[post] for every post neuron, for
-// a spike on input pre — the per-spike inner loop of eq. 3.
+// AccumulateSpikesRange adds g(pre, i)·amp into current[i] for every input
+// pre in pres, in pres order, and every post neuron i in [lo, hi) — eq. 3
+// for one step's spiking inputs over the post range the engine hands one
+// worker. Training (network.PresentPlan) and inference (infer) both
+// integrate through it. On the packed store it runs fixed's
+// register-blocked AccumulateRows, which reads each spiking row's words
+// once per block of lanes and keeps the block's currents in registers
+// across the rows; the float fallback walks the rows one at a time. Either
+// way the sums are bit-identical to adding the rows one by one.
 //
 //psslint:noalloc
-func (m *Matrix) AccumulateCurrent(pre int, amp float64, current []float64) {
-	m.AccumulateCurrentRange(pre, amp, current, 0, m.NPost)
-}
-
-// AccumulateCurrentRange is AccumulateCurrent restricted to post neurons
-// [lo, hi) — the unit the parallel engine partitions across workers. On the
-// packed store each 64-bit word load delivers up to 32 conductances,
-// dequantized through the format's LUT, so the walk touches 8× less synapse
-// memory than the float64 row it replaced while producing bit-identical
-// sums (lane order matches the scalar accumulation order).
-//
-//psslint:noalloc
-func (m *Matrix) AccumulateCurrentRange(pre int, amp float64, current []float64, lo, hi int) {
+func (m *Matrix) AccumulateSpikesRange(pres []int, amp float64, current []float64, lo, hi int) {
 	if m.pk != nil {
-		m.pk.AccumulateRange(m.rowWords(pre), amp, current, lo, hi)
+		m.pk.AccumulateRows(m.words, m.wpr, pres, amp, current, lo, hi)
 		return
 	}
-	row := m.g[pre*m.NPost : (pre+1)*m.NPost]
-	for i := lo; i < hi; i++ {
-		current[i] += float64(row[i]) * amp
+	for _, pre := range pres {
+		row := m.g[pre*m.NPost : (pre+1)*m.NPost]
+		for i := lo; i < hi; i++ {
+			current[i] += float64(row[i]) * amp
+		}
 	}
 }

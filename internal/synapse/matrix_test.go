@@ -143,41 +143,43 @@ func TestMatrixCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestAccumulateCurrentRangeMatchesAt(t *testing.T) {
-	const nPre, nPost = 3, 11
+// TestAccumulateSpikesRangeMatchesAt: the multi-row integrate entry is
+// bit-identical to summing At(pre, i)·amp row by row in pres order, on the
+// packed stores and the float fallback, for post counts that are not a
+// multiple of any lane count, unaligned windows and empty or duplicate
+// spike lists.
+func TestAccumulateSpikesRangeMatchesAt(t *testing.T) {
+	const nPre, amp = 7, 0.6
 	for _, f := range matrixFormats {
-		m, err := NewMatrix(nPre, nPost, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.InitUniform(rng.NewStream(5), 0, 1)
-		const amp = 0.6
-		for _, span := range [][2]int{{0, nPost}, {3, 9}, {5, 5}} {
-			lo, hi := span[0], span[1]
-			got := make([]float64, nPost)
-			want := make([]float64, nPost)
-			for pre := 0; pre < nPre; pre++ {
-				m.AccumulateCurrentRange(pre, amp, got, lo, hi)
-				for i := lo; i < hi; i++ {
-					want[i] += float64(m.At(pre, i)) * amp
-				}
+		for _, nPost := range []int{11, 37, 1000} {
+			m, err := NewMatrix(nPre, nPost, f)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s [%d,%d): current[%d] = %v, want %v", f, lo, hi, i, got[i], want[i])
+			m.InitUniform(rng.NewStream(5), 0, 1)
+			spans := [][2]int{{0, nPost}, {3, 9}, {5, 5}, {1, nPost - 2}, {nPost / 3, 2 * nPost / 3}}
+			for _, pres := range [][]int{nil, {4}, {0, 2, 2, 6}, {6, 5, 4, 3, 2, 1, 0, 1, 3}} {
+				for _, span := range spans {
+					lo, hi := span[0], span[1]
+					got := make([]float64, nPost)
+					want := make([]float64, nPost)
+					for i := range got {
+						got[i] = float64(i) * 0.01
+						want[i] = got[i]
+					}
+					m.AccumulateSpikesRange(pres, amp, got, lo, hi)
+					for _, pre := range pres {
+						for i := lo; i < hi; i++ {
+							want[i] += float64(m.At(pre, i)) * amp
+						}
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s nPost=%d pres=%v [%d,%d): current[%d] = %v, want %v",
+								f, nPost, pres, lo, hi, i, got[i], want[i])
+						}
+					}
 				}
-			}
-		}
-		// The unranged form covers the whole row.
-		got := make([]float64, nPost)
-		want := make([]float64, nPost)
-		m.AccumulateCurrent(1, amp, got)
-		for i := 0; i < nPost; i++ {
-			want[i] = float64(m.At(1, i)) * amp
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: AccumulateCurrent[%d] = %v, want %v", f, i, got[i], want[i])
 			}
 		}
 	}

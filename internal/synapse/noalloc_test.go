@@ -23,23 +23,22 @@ func skipIfInstrumented(t *testing.T) {
 	}
 }
 
-func TestNoAllocAccumulateCurrentRange(t *testing.T) {
+func TestNoAllocAccumulateSpikesRange(t *testing.T) {
 	skipIfInstrumented(t)
-	for _, f := range []fixed.Format{fixed.Q0p2, fixed.Q1p7, fixed.Float32} {
-		m, err := NewMatrix(4, 9, f)
+	pres := []int{0, 2, 2, 3}
+	for _, f := range []fixed.Format{fixed.Q0p2, fixed.Q0p4, fixed.Q1p7, fixed.Q1p15, fixed.Float32} {
+		m, err := NewMatrix(4, 45, f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.InitUniform(rng.NewStream(2), 0.1, 0.9)
-		cur := make([]float64, 9)
+		cur := make([]float64, 45)
 		avg := testing.AllocsPerRun(50, func() {
-			for pre := 0; pre < 4; pre++ {
-				m.AccumulateCurrentRange(pre, 0.6, cur, 0, 9)
-			}
-			m.AccumulateCurrent(1, 0.6, cur)
+			m.AccumulateSpikesRange(pres, 0.6, cur, 0, 45) // register blocks + tail
+			m.AccumulateSpikesRange(pres, 0.6, cur, 3, 7)  // no full block
 		})
 		if avg != 0 {
-			t.Errorf("%s: AccumulateCurrent(Range) allocates %.1f per run, want 0", f, avg)
+			t.Errorf("%s: AccumulateSpikesRange allocates %.1f per run, want 0", f, avg)
 		}
 	}
 }

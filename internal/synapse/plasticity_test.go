@@ -109,18 +109,18 @@ func TestMatrixFillAndClone(t *testing.T) {
 	}
 }
 
-func TestAccumulateCurrent(t *testing.T) {
+func TestAccumulateSpikesRangeAdds(t *testing.T) {
 	m, _ := NewMatrix(2, 3, fixed.Float32)
 	m.Set(0, 0, 0.5)
 	m.Set(0, 1, 0.25)
 	cur := make([]float64, 3)
-	m.AccumulateCurrent(0, 2.0, cur)
+	m.AccumulateSpikesRange([]int{0}, 2.0, cur, 0, 3)
 	if cur[0] != 1.0 || cur[1] != 0.5 || cur[2] != 0 {
 		t.Fatalf("current = %v", cur)
 	}
-	m.AccumulateCurrent(0, 2.0, cur)
+	m.AccumulateSpikesRange([]int{0}, 2.0, cur, 0, 3)
 	if cur[0] != 2.0 {
-		t.Fatal("AccumulateCurrent should add, not overwrite")
+		t.Fatal("AccumulateSpikesRange should add, not overwrite")
 	}
 }
 
@@ -520,12 +520,18 @@ func BenchmarkStochasticPostSpike784(b *testing.B) {
 	}
 }
 
-func BenchmarkAccumulateCurrent(b *testing.B) {
-	m, _ := NewMatrix(784, 1000, fixed.Float32)
-	m.Fill(0.3)
-	cur := make([]float64, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.AccumulateCurrent(i%784, 1.0, cur)
+// BenchmarkAccumulateSpikesRange integrates one train-fast-like step: 9
+// spiking rows into a 1000-neuron layer.
+func BenchmarkAccumulateSpikesRange(b *testing.B) {
+	pres := []int{12, 87, 150, 151, 300, 402, 555, 610, 777}
+	for _, f := range []fixed.Format{fixed.Q1p7, fixed.Float32} {
+		m, _ := NewMatrix(784, 1000, f)
+		m.Fill(0.3)
+		cur := make([]float64, 1000)
+		b.Run(f.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				m.AccumulateSpikesRange(pres, 1.0, cur, 0, 1000)
+			}
+		})
 	}
 }
