@@ -215,18 +215,18 @@ func (e *reversedExecutor) For(n int, fn func(chunk, lo, hi int)) {
 	}
 }
 
-func TestMergeBufsOrderIndependent(t *testing.T) {
-	// Regression for the mergeBufs ordering fix: the current-accumulation
-	// loop sums floats in spike order, so a permuted chunk→range assignment
-	// used to change results. mergeBufs now sorts, making any valid executor
-	// bit-identical to sequential.
+func TestReversedExecutorMatchesSequential(t *testing.T) {
+	// Steps run inline, so the only dispatch left in a presentation is the
+	// lazy end-of-presentation row flush. Handing it permuted chunk→range
+	// assignments must not change a single bit: each flush chunk touches
+	// only its own rows.
 	data := dataset.SynthDigits(4, 2)
 	cfg := presetConfig(t, synapse.PresetFloat, synapse.Stochastic, 13)
-	seq, err := New(cfg)
+	seq, err := New(cfg, WithPlasticity(LazyPlasticity))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := New(cfg, WithExecutor(&reversedExecutor{k: 3}))
+	rev, err := New(cfg, WithExecutor(&reversedExecutor{k: 3}), WithPlasticity(LazyPlasticity))
 	if err != nil {
 		t.Fatal(err)
 	}

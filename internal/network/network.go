@@ -11,10 +11,10 @@
 //  1. replay this step's input spikes from the presentation's sparse spike
 //     plan; in lazy mode, then bring the spiking rows up to date with the
 //     deferred post-spike updates;
-//  2. integrate, in one engine dispatch over the neuron range: decay the
-//     synaptic current, accumulate the input spikes into it (eq. 3) with
-//     the multi-row synapse kernel, and step the LIF layer (eqs. 1–2),
-//     collecting threshold crossers;
+//  2. integrate, inline over the neuron range: decay the synaptic current,
+//     accumulate the input spikes into it (eq. 3) with the multi-row
+//     synapse kernel, and step the LIF layer (eqs. 1–2), collecting
+//     threshold crossers;
 //  3. record the new pre-spike times;
 //  4. winner-take-all among the crossers, then for the post spike: the
 //     learning rule's update of its synapse column — deterministic eqs.
@@ -23,14 +23,17 @@
 //     to each row's next spike in lazy mode; inhibition of the other
 //     neurons; post-spike time update.
 //
-// All kernels run through an engine.Executor; with counter-based RNG the
-// parallel pool is bit-identical to sequential execution.
+// Every step runs on the presenting goroutine: at the paper's operating
+// point a step is a few µs of work, less than a worker-pool handoff costs
+// (DESIGN.md §16.4). The engine.Executor carries only the per-presentation
+// fan-out — the lazy end-of-presentation row flush here, and the batch plan
+// prefetch of learn.Trainer — and with counter-based RNG a pooled executor
+// is bit-identical to sequential execution.
 package network
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/encode"
@@ -148,7 +151,8 @@ func (c Config) Validate() error {
 }
 
 // Network is a live simulation instance. It is not safe for concurrent use
-// by multiple goroutines; internal kernels parallelize through the executor.
+// by multiple goroutines; steps run on the caller's goroutine and only the
+// per-presentation lazy flush fans out over the executor.
 type Network struct {
 	Cfg Config
 
@@ -176,8 +180,8 @@ type Network struct {
 	lastPost []float64 // last spike time per first-layer neuron
 	current  []float64 // per-neuron input current (trace)
 
-	spikeBufs [][]int // per-chunk neuron spike scratch
-	planBuf   []int   // scratch for consuming precomputed spike plans
+	spikeBuf []int // threshold-crosser scratch
+	planBuf  []int // scratch for consuming precomputed spike plans
 
 	// Inline (plan-less) presentations build their sparse spike schedule
 	// here, recycling the source's rate/threshold buffers and the plan's
@@ -205,7 +209,10 @@ type buildOptions struct {
 	plast PlasticityMode
 }
 
-// WithExecutor runs the network's kernels on exec. The caller retains
+// WithExecutor installs exec for the network's per-presentation fan-out:
+// the lazy-plasticity row flush at the end of each learning presentation,
+// and (through Executor) learn.Trainer's batch plan prefetch. Simulation
+// steps always run inline on the presenting goroutine. The caller retains
 // ownership (and Close responsibility) of the executor. The default is
 // sequential execution.
 func WithExecutor(exec engine.Executor) Option {
@@ -297,7 +304,6 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		}
 		n.lazy = q
 	}
-	n.spikeBufs = make([][]int, exec.Workers())
 	n.resetTimers()
 	return n, nil
 }
@@ -310,7 +316,7 @@ func (n *Network) Plasticity() PlasticityMode {
 	return DensePlasticity
 }
 
-// Executor returns the engine the network's kernels run on. Downstream
+// Executor returns the engine installed with WithExecutor. Downstream
 // components (learn.Trainer's batched spike-train prefetch) reuse it so one
 // worker pool serves the whole stack.
 func (n *Network) Executor() engine.Executor { return n.exec }
@@ -493,14 +499,19 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 	n.Exc.ResetMembranes()
 	n.Exc.FreezeTheta = !learn // evaluation mode: homeostasis frozen
 	n.resetTimers()
-	countsBefore := asInts(n.Exc.SpikeCounts())
+	// SpikeCounts starts at minus the lifetime counts and gets the
+	// post-presentation counts added at the end.
+	counts := make([]int, n.Cfg.NumNeurons)
+	for i, c := range n.Exc.SpikeCounts() {
+		counts[i] = -int(c)
+	}
 
 	dt := n.Cfg.DTms
 	decay := 0.0
 	if n.Cfg.TauSynMS > 0 {
 		decay = math.Exp(-dt / n.Cfg.TauSynMS)
 	}
-	res := PresentResult{Steps: steps}
+	res := PresentResult{SpikeCounts: counts, Steps: steps}
 
 	for s := 0; s < steps; s++ {
 		now := n.now
@@ -540,29 +551,26 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 			n.obsPlast.Stop(tp)
 		}
 
-		// (2) Integrate, in one dispatch over the neuron range: decay the
+		// (2) Integrate, inline over the whole neuron range: decay the
 		// synaptic current, accumulate this step's input spikes into it
 		// (eq. 3) and step the LIF membranes (eqs. 1–2), collecting
-		// threshold crossers without committing spikes yet. Each worker
-		// reads and writes only its own [lo, hi) of the current and
-		// membranes, so no barrier is needed between the three.
+		// threshold crossers in ascending order without committing spikes
+		// yet. A step at the paper's 784×1000 operating point is ~11 µs of
+		// work, less than a worker-pool handoff costs, so it runs on the
+		// presenting goroutine (DESIGN.md §16.4).
 		tInt := n.obsIntegrate.Start()
-		n.exec.For(n.Cfg.NumNeurons, func(chunk, lo, hi int) {
-			cur := n.current
-			if decay == 0 {
-				for i := lo; i < hi; i++ {
-					cur[i] = 0
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					cur[i] *= decay
-				}
+		cur := n.current
+		if decay == 0 {
+			clear(cur)
+		} else {
+			for i := range cur {
+				cur[i] *= decay
 			}
-			n.Syn.AccumulateSpikesRange(inputSpikes, n.Cfg.SpikeAmp, cur, lo, hi)
-			n.spikeBufs[chunk] = n.Exc.CandidatesRange(lo, hi, dt, now, cur, n.spikeBufs[chunk][:0])
-		})
+		}
+		n.Syn.AccumulateSpikesRange(inputSpikes, n.Cfg.SpikeAmp, cur, 0, n.Cfg.NumNeurons)
+		n.spikeBuf = n.Exc.CandidatesRange(0, n.Cfg.NumNeurons, dt, now, cur, n.spikeBuf[:0])
+		candidates := n.spikeBuf
 		n.obsIntegrate.Stop(tInt)
-		candidates := mergeBufs(n.spikeBufs[:n.exec.Workers()])
 
 		// (3) Pre-spike time bookkeeping. Neither integrate kernel reads
 		// lastPre; the post-spike learning below does.
@@ -599,11 +607,11 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 					// neuron next spikes or at presentation end.
 					n.lazy.Record(post, now, step)
 				} else {
-					// Partition the 784-synapse column update across workers.
+					// The column update runs inline for the same reason
+					// as the integrate. OnPostSpikeRange, not OnPostSpike:
+					// the dense path never bumps the roll counters.
 					tp := n.obsPlast.Start()
-					n.exec.For(n.Cfg.NumInputs, func(chunk, lo, hi int) {
-						n.Plast.OnPostSpikeRange(post, now, n.lastPre, step, lo, hi)
-					})
+					n.Plast.OnPostSpikeRange(post, now, n.lastPre, step, 0, n.Cfg.NumInputs)
 					plastNs += n.obsPlast.Since(tp)
 				}
 				n.obsSynUpd.Add(uint64(n.Cfg.NumInputs))
@@ -648,8 +656,9 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 
 	// Lazy mode: the presentation boundary is a read point — checkpoints,
 	// statistics and receptive-field plots all inspect the matrix between
-	// images — so drain every row. Rows are independent; the full flush
-	// partitions over the engine.
+	// images — so drain every row. Rows are independent and the drain is
+	// milliseconds of work, so this is the one place a presentation fans out
+	// over the executor.
 	if n.lazy != nil && learn && n.lazy.Events() > 0 {
 		tp := n.obsPlast.Start()
 		n.exec.For(n.Cfg.NumInputs, func(chunk, lo, hi int) {
@@ -661,10 +670,8 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 		n.lazy.Reset()
 	}
 
-	res.SpikeCounts = make([]int, n.Cfg.NumNeurons)
-	after := n.Exc.SpikeCounts()
-	for i := range res.SpikeCounts {
-		res.SpikeCounts[i] = int(after[i]) - countsBefore[i]
+	for i, c := range n.Exc.SpikeCounts() {
+		counts[i] += int(c)
 	}
 	return res, nil
 }
@@ -684,39 +691,4 @@ func SelectWinner(pop *neuron.Population, candidates []int) int {
 		}
 	}
 	return winner
-}
-
-// mergeBufs concatenates per-chunk index buffers and enforces ascending
-// index order. The order is load-bearing: the current-accumulation loop sums
-// floats in spike order, and float addition is not associative, so a merge
-// that depended on chunk slots happening to hold ascending ranges would make
-// results executor-dependent. With engine.Partition chunks are already
-// ascending and the IsSorted fast path makes the sort free; any executor
-// with a different chunk↔range convention is corrected rather than silently
-// changing the simulation.
-func mergeBufs(bufs [][]int) []int {
-	var out []int
-	switch len(bufs) {
-	case 0:
-		return nil
-	case 1:
-		out = bufs[0]
-	default:
-		out = bufs[0]
-		for _, b := range bufs[1:] {
-			out = append(out, b...)
-		}
-	}
-	if !sort.IntsAreSorted(out) {
-		sort.Ints(out)
-	}
-	return out
-}
-
-func asInts(u []uint64) []int {
-	out := make([]int, len(u))
-	for i, v := range u {
-		out[i] = int(v)
-	}
-	return out
 }

@@ -235,20 +235,24 @@ func TestRecorderCapturesSpikes(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	// The central reproducibility claim: the worker-pool engine produces
-	// bit-identical results to sequential execution, for both rules.
+	// bit-identical results to sequential execution, for both rules. Dense
+	// presentations never dispatch; lazy ones split the end flush.
 	data := dataset.SynthDigits(6, 3)
 	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 150}
 	for _, kind := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
-		// odd count: uneven partitions
-		checkParallelMatchesSequential(t, kind.String(), testConfig(t, kind, 23), 4, ctl, data)
+		for _, mode := range []PlasticityMode{DensePlasticity, LazyPlasticity} {
+			// odd count: uneven partitions
+			checkParallelMatchesSequential(t, kind.String()+"/"+mode.String(), testConfig(t, kind, 23), 4, ctl, data, WithPlasticity(mode))
+		}
 	}
 }
 
 // TestParallelMatchesSequentialPacked is TestParallelMatchesSequential at
-// the paper's layer width on every packed format. 1000 neurons over 3
-// workers gives chunks of 334/333/333 lanes: every chunk starts or ends
-// inside a word, so the integrate kernel runs its register-blocked body
-// and its per-row edges on each side of a chunk boundary.
+// the paper's layer width on every packed format, in both plasticity modes.
+// Steps run inline, so the pool only splits the lazy end-of-presentation
+// flush: 784 rows of 1000 packed lanes over 3 workers. Kernel-level
+// coverage of integrate windows that start or end inside a packed word is
+// TestAccumulateRowsMatchesPerRow in internal/fixed.
 func TestParallelMatchesSequentialPacked(t *testing.T) {
 	data := dataset.SynthDigits(3, 5)
 	ctl := encode.Control{Band: encode.HighFrequencyBand(), TLearnMS: 100}
@@ -258,7 +262,10 @@ func TestParallelMatchesSequentialPacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		syn.Seed = 42
-		checkParallelMatchesSequential(t, string(preset), DefaultConfig(28*28, 1000, syn), 3, ctl, data)
+		cfg := DefaultConfig(28*28, 1000, syn)
+		for _, mode := range []PlasticityMode{DensePlasticity, LazyPlasticity} {
+			checkParallelMatchesSequential(t, string(preset)+"/"+mode.String(), cfg, 3, ctl, data, WithPlasticity(mode))
+		}
 	}
 }
 
@@ -267,16 +274,17 @@ func TestParallelMatchesSequentialPacked(t *testing.T) {
 // counts, weights and membranes match exactly. It also compares the
 // synaptic current after every presentation: under winner-take-all most
 // membranes end a presentation clamped at reset, which would hide an
-// integrate kernel that dropped a few lanes' input.
-func checkParallelMatchesSequential(t *testing.T, name string, cfg Config, workers int, ctl encode.Control, data *dataset.Dataset) {
+// integrate kernel that dropped a few lanes' input. opts apply to both
+// networks.
+func checkParallelMatchesSequential(t *testing.T, name string, cfg Config, workers int, ctl encode.Control, data *dataset.Dataset, opts ...Option) {
 	t.Helper()
-	seqNet, err := New(cfg)
+	seqNet, err := New(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool := engine.New(workers)
 	defer pool.Close()
-	parNet, err := New(cfg, WithExecutor(pool))
+	parNet, err := New(cfg, append(opts, WithExecutor(pool))...)
 	if err != nil {
 		t.Fatal(err)
 	}

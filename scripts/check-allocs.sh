@@ -21,6 +21,6 @@ go run ./cmd/psslint -escape -baseline scripts/allocs-baseline.txt ./...
 
 go test -run 'TestNoAlloc' -count=1 \
 	./internal/fixed/ ./internal/encode/ ./internal/neuron/ \
-	./internal/synapse/ ./internal/infer/
+	./internal/synapse/ ./internal/infer/ ./internal/network/
 
 echo "check-allocs: ok"
