@@ -6,7 +6,7 @@
 // Usage:
 //
 //	go run ./cmd/psslint ./...                 # full analyzer suite
-//	go run ./cmd/psslint -deprecated ./...     # one analyzer
+//	go run ./cmd/psslint -fixedrange ./...     # one analyzer
 //	go run ./cmd/psslint -rcuimmut -golifecycle -hotalloc ./...
 //	go run ./cmd/psslint -escape ./...         # compiler escape-analysis gate
 //	go run ./cmd/psslint -escape -baseline scripts/allocs-baseline.txt ./...
@@ -35,7 +35,7 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("psslint", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: psslint [-deprecated] [-fixedrange] [-detrand] [-ioerr] [-rcuimmut] [-golifecycle] [-hotalloc] packages...")
+		fmt.Fprintln(fs.Output(), "usage: psslint [-fixedrange] [-detrand] [-ioerr] [-rcuimmut] [-golifecycle] [-hotalloc] packages...")
 		fmt.Fprintln(fs.Output(), "       psslint -escape [-baseline file] packages...")
 		fs.PrintDefaults()
 	}

@@ -221,7 +221,7 @@ func TestLifecyclePromoteAndReplay(t *testing.T) {
 			t.Fatalf("example %d stamped band %+v, tune band %+v", i, ex.Band, tune.Band())
 		}
 	}
-	pool := engine.NewPool(4)
+	pool := engine.New(4)
 	defer pool.Close()
 	variants := []struct {
 		name string

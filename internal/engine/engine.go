@@ -53,11 +53,11 @@ const Auto = -1
 func New(workers int) Executor {
 	switch {
 	case workers == 0 || workers == 1:
-		return Sequential{}
+		return sequential{}
 	case workers < 0:
-		return NewPool(0)
+		return newPool(0)
 	default:
-		return NewPool(workers)
+		return newPool(workers)
 	}
 }
 
@@ -71,15 +71,12 @@ func Instrument(exec Executor, reg *obs.Registry) {
 	}
 }
 
-// Sequential executes kernels on the calling goroutine with a single
+// sequential executes kernels on the calling goroutine with a single
 // partition. It is the reference implementation for determinism tests.
-//
-// Deprecated: construct executors with New(1) instead of using the type
-// directly; the type remains exported because New returns it.
-type Sequential struct{}
+type sequential struct{}
 
 // For invokes fn(0, 0, n) directly.
-func (Sequential) For(n int, fn func(chunk, lo, hi int)) {
+func (sequential) For(n int, fn func(chunk, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -87,10 +84,10 @@ func (Sequential) For(n int, fn func(chunk, lo, hi int)) {
 }
 
 // Workers returns 1.
-func (Sequential) Workers() int { return 1 }
+func (sequential) Workers() int { return 1 }
 
 // Close is a no-op.
-func (Sequential) Close() {}
+func (sequential) Close() {}
 
 // Pool is a persistent worker pool. Each worker owns a fixed partition
 // index, so per-worker scratch buffers never race.
@@ -163,11 +160,9 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	p.util = reg.Gauge("engine_worker_utilization")
 }
 
-// NewPool creates a pool with the given number of workers. workers <= 0
+// newPool creates a pool with the given number of workers. workers <= 0
 // selects GOMAXPROCS.
-//
-// Deprecated: use New, which also folds in the sequential case.
-func NewPool(workers int) *Pool {
+func newPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -65,7 +65,7 @@ func TestPartitionPanicsOnBadArgs(t *testing.T) {
 }
 
 func TestSequentialFor(t *testing.T) {
-	var seq Sequential
+	var seq sequential
 	if seq.Workers() != 1 {
 		t.Fatal("sequential workers != 1")
 	}
@@ -90,7 +90,7 @@ func TestSequentialFor(t *testing.T) {
 }
 
 func TestPoolForComputesSameAsSequential(t *testing.T) {
-	pool := NewPool(4)
+	pool := newPool(4)
 	defer pool.Close()
 	if pool.Workers() != 4 {
 		t.Fatalf("workers = %d", pool.Workers())
@@ -110,7 +110,7 @@ func TestPoolForComputesSameAsSequential(t *testing.T) {
 }
 
 func TestPoolAllChunksInvoked(t *testing.T) {
-	pool := NewPool(8)
+	pool := newPool(8)
 	defer pool.Close()
 	var hits [8]int32
 	// n < workers: every chunk still invoked (some empty).
@@ -125,7 +125,7 @@ func TestPoolAllChunksInvoked(t *testing.T) {
 }
 
 func TestPoolChunkOwnership(t *testing.T) {
-	pool := NewPool(4)
+	pool := newPool(4)
 	defer pool.Close()
 	// Per-chunk accumulators must see disjoint ranges.
 	sums := make([]int, 4)
@@ -144,7 +144,7 @@ func TestPoolChunkOwnership(t *testing.T) {
 }
 
 func TestPoolReusableAcrossCalls(t *testing.T) {
-	pool := NewPool(3)
+	pool := newPool(3)
 	defer pool.Close()
 	var counter int64
 	for round := 0; round < 100; round++ {
@@ -158,7 +158,7 @@ func TestPoolReusableAcrossCalls(t *testing.T) {
 }
 
 func TestPoolZeroAndNegativeN(t *testing.T) {
-	pool := NewPool(2)
+	pool := newPool(2)
 	defer pool.Close()
 	called := false
 	pool.For(0, func(chunk, lo, hi int) { called = true })
@@ -169,7 +169,7 @@ func TestPoolZeroAndNegativeN(t *testing.T) {
 }
 
 func TestPoolDefaultWorkerCount(t *testing.T) {
-	pool := NewPool(0)
+	pool := newPool(0)
 	defer pool.Close()
 	if pool.Workers() < 1 {
 		t.Fatalf("workers = %d", pool.Workers())
@@ -177,7 +177,7 @@ func TestPoolDefaultWorkerCount(t *testing.T) {
 }
 
 func TestPoolSingleWorkerInline(t *testing.T) {
-	pool := NewPool(1)
+	pool := newPool(1)
 	defer pool.Close()
 	sum := 0 // safe without atomics: single worker runs inline
 	pool.For(50, func(chunk, lo, hi int) {
@@ -191,7 +191,7 @@ func TestPoolSingleWorkerInline(t *testing.T) {
 }
 
 func TestPoolCloseIdempotent(t *testing.T) {
-	pool := NewPool(2)
+	pool := newPool(2)
 	pool.Close()
 	pool.Close() // second close must not panic
 }
@@ -200,7 +200,7 @@ func TestPoolCloseIdempotent(t *testing.T) {
 // Now it must propagate to the For caller as a KernelPanic, with every
 // other chunk still completing, and the pool must remain usable.
 func TestPoolKernelPanicPropagates(t *testing.T) {
-	pool := NewPool(4)
+	pool := newPool(4)
 	defer pool.Close()
 
 	var otherChunks int32
@@ -248,7 +248,7 @@ func TestPoolKernelPanicPropagates(t *testing.T) {
 // When several chunks panic in the same For call, exactly one panic (the
 // first recorded) must surface and For must still return.
 func TestPoolAllChunksPanic(t *testing.T) {
-	pool := NewPool(4)
+	pool := newPool(4)
 	defer pool.Close()
 	defer func() {
 		if r := recover(); r == nil {
@@ -263,7 +263,7 @@ func TestPoolAllChunksPanic(t *testing.T) {
 // Regression: For after Close used to die with an opaque "send on closed
 // channel"; it must now panic with a clear message.
 func TestPoolForAfterClosePanicsClearly(t *testing.T) {
-	pool := NewPool(2)
+	pool := newPool(2)
 	pool.Close()
 	defer func() {
 		r := recover()
@@ -301,7 +301,7 @@ func TestPartitionProperty(t *testing.T) {
 }
 
 func BenchmarkPoolFor1000(b *testing.B) {
-	pool := NewPool(0)
+	pool := newPool(0)
 	defer pool.Close()
 	dst := make([]float64, 1000)
 	b.ResetTimer()
@@ -315,7 +315,7 @@ func BenchmarkPoolFor1000(b *testing.B) {
 }
 
 func BenchmarkSequentialFor1000(b *testing.B) {
-	var seq Sequential
+	var seq sequential
 	dst := make([]float64, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

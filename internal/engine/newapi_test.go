@@ -11,8 +11,8 @@ import (
 func TestNewSelectsImplementation(t *testing.T) {
 	for _, workers := range []int{0, 1} {
 		exec := New(workers)
-		if _, ok := exec.(Sequential); !ok {
-			t.Errorf("New(%d) = %T, want Sequential", workers, exec)
+		if _, ok := exec.(sequential); !ok {
+			t.Errorf("New(%d) = %T, want sequential", workers, exec)
 		}
 		if exec.Workers() != 1 {
 			t.Errorf("New(%d).Workers() = %d", workers, exec.Workers())
@@ -49,7 +49,7 @@ func TestNewExecutesKernels(t *testing.T) {
 
 func TestPoolInstrumentRecordsChunksAndUtilization(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := NewPool(3)
+	p := newPool(3)
 	defer p.Close()
 	p.Instrument(reg)
 

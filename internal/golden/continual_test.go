@@ -47,7 +47,7 @@ func auditCases(t *testing.T) []Case {
 
 func TestGoldenAuditReplay(t *testing.T) {
 	check.NoLeaks(t)
-	pool := engine.NewPool(4)
+	pool := engine.New(4)
 	defer pool.Close()
 
 	for _, c := range auditCases(t) {

@@ -11,29 +11,26 @@
 // in a sync.Pool of scratch buffers, so Forward is safe to call from any
 // number of goroutines and allocation-free once the pool is warm.
 //
-// Bit-identity with the trainer's evaluation path is structural, not
-// coincidental:
+// Bit-identity with the trainer's evaluation path is structural: Forward
+// runs the training path's own step loop, network.Core, with no learning
+// hook. Around that one loop the engine reproduces the rest:
 //
 //   - input spikes draw from the same counter-based stream — the source seed
 //     is rng.Hash64(cfg.Seed, 0x50c) and the presentation counter is the
 //     caller-supplied start step, exactly as network.PresentPlan computes
 //     them — so a Forward at start step S replays the spikes Present would
 //     have generated with its global step counter at S;
-//   - current accumulation, LIF integration and the winner-take-all pick run
-//     the same kernels in the same float-addition order (spikes ascending,
-//     network.SelectWinner for the tiebreak);
 //   - absolute simulation time never enters the output: every timer
 //     (refractory, inhibition) is relative to the presentation start, so
-//     Forward runs its clock from zero regardless of start step.
+//     the bare core runs its clock from zero regardless of start step.
 //
 // The differential wall in infer_test.go and the golden inference digests in
 // internal/golden pin this equivalence across every preset, quantization
-// format and rounding mode.
+// format and rounding mode, and at fractional step widths.
 package infer
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"parallelspikesim/internal/check"
@@ -95,7 +92,6 @@ type Engine struct {
 	assign []int           // frozen after construction
 	nClass int
 	steps  int // simulation steps per presentation
-	decay  float64
 
 	exec    engine.Executor
 	scratch sync.Pool // *scratch
@@ -109,12 +105,9 @@ type Engine struct {
 // Forward call at a time; the pool recycles them across calls and
 // goroutines.
 type scratch struct {
-	pop     *neuron.Population
-	src     *encode.Source // created on first use, then Rebind per image
-	plan    *encode.Plan   // sparse spike schedule, rebuilt in place per image
-	current []float64
-	in      []int
-	cand    []int
+	core *network.Core  // step core over a private population and e.syn
+	src  *encode.Source // created on first use, then Rebind per image
+	plan *encode.Plan   // sparse spike schedule, rebuilt in place per image
 }
 
 // New builds an inference engine over a copy of the frozen state in p.
@@ -162,10 +155,6 @@ func New(p Params, opts ...Option) (*Engine, error) {
 	if exec == nil {
 		exec = engine.New(1)
 	}
-	decay := 0.0
-	if p.Net.TauSynMS > 0 {
-		decay = math.Exp(-p.Net.DTms / p.Net.TauSynMS)
-	}
 	e := &Engine{
 		cfg:    p.Net,
 		ctl:    p.Control,
@@ -174,7 +163,6 @@ func New(p Params, opts ...Option) (*Engine, error) {
 		assign: append([]int(nil), p.Assignments...),
 		nClass: p.NumClasses,
 		steps:  steps,
-		decay:  decay,
 		exec:   exec,
 
 		// All handles are nil (free no-ops) when bo.reg is nil.
@@ -231,10 +219,7 @@ func (e *Engine) newScratch() *scratch {
 	// copy at scratch birth holds for every presentation it serves.
 	pop.FreezeTheta = true
 	copy(pop.Theta(), e.theta)
-	return &scratch{
-		pop:     pop,
-		current: make([]float64, e.cfg.NumNeurons),
-	}
+	return &scratch{core: network.NewCore(e.cfg, pop, e.syn)}
 }
 
 // Forward presents one image to the frozen network and returns the spike
@@ -263,28 +248,14 @@ func (e *Engine) forward(s *scratch, img []uint8, startStep uint64) (network.Pre
 	} else if err := s.src.Rebind(img, e.ctl.Band, startStep); err != nil {
 		return network.PresentResult{}, err
 	}
-	dt := e.cfg.DTms
 	// Materialize the presentation's sparse event schedule up front (the
 	// builder prepares the source's thresholds itself). Identical spikes to
 	// stepping the source densely — see the encode differential wall — at a
 	// fraction of the hash work, into recycled plan storage.
-	s.plan = s.src.BuildPlanInto(s.plan, startStep, dt, e.steps, e.ctl.Band)
-	if check.Enabled {
-		if err := s.plan.Validate(); err != nil {
-			check.Assert(false, "infer: spike plan failed validation: %v", err)
-		}
-	}
-
-	pop := s.pop
-	pop.ResetMembranes()
+	s.plan = s.src.BuildPlanInto(s.plan, startStep, e.cfg.DTms, e.steps, e.ctl.Band)
+	pop := s.core.Pop
 	pop.ClearSpikeCounts()
-	for i := range s.current {
-		s.current[i] = 0
-	}
-
-	res := network.PresentResult{Steps: e.steps}
-	res.InputSpikes = e.run(s, dt)
-
+	res := network.PresentResult{Steps: e.steps, InputSpikes: s.core.Run(s.plan)}
 	res.SpikeCounts = make([]int, e.cfg.NumNeurons)
 	for i, c := range pop.SpikeCounts() {
 		res.SpikeCounts[i] = int(c)
@@ -298,70 +269,6 @@ func (e *Engine) forward(s *scratch, img []uint8, startStep uint64) (network.Pre
 		}
 	}
 	return res, nil
-}
-
-// run is the per-presentation step loop — the inference hot path proper,
-// split out of forward so the allocation ratchet can pin it: every buffer
-// it touches lives in the pooled scratch, and after the scratch's first
-// presentation warms the append capacities a run performs zero heap
-// allocations (TestNoAllocRun). Returns the total input spike count.
-//
-//psslint:noalloc
-func (e *Engine) run(s *scratch, dt float64) int {
-	pop := s.pop
-	amp := e.cfg.SpikeAmp
-	inputSpikes := 0
-	for step := 0; step < e.steps; step++ {
-		now := float64(step) * dt
-
-		// (1) Input spikes for this step from the presentation's sparse
-		// event schedule, ascending by pixel — the order the training
-		// path's plan replay produces, which fixes the float summation
-		// order below.
-		s.in = s.plan.Step(step, s.in[:0])
-		inputSpikes += len(s.in)
-
-		// (2) Input current accumulation (eq. 3) through the multi-row
-		// kernel the training path uses.
-		cur := s.current
-		if e.decay == 0 {
-			for i := range cur {
-				cur[i] = 0
-			}
-		} else {
-			for i := range cur {
-				cur[i] *= e.decay
-			}
-		}
-		e.syn.AccumulateSpikesRange(s.in, amp, cur, 0, len(cur))
-
-		// (3) LIF integration: collect threshold crossers, then let the
-		// winner-take-all pick — through the same SelectWinner the training
-		// path uses — decide who actually fires.
-		s.cand = pop.CandidatesRange(0, e.cfg.NumNeurons, dt, now, cur, s.cand[:0])
-		post := s.cand
-		if e.cfg.TInhMS > 0 && len(post) > 1 {
-			winner := network.SelectWinner(pop, post)
-			for _, c := range post {
-				if c != winner {
-					pop.Suppress(c)
-				}
-			}
-			post = post[:1]
-			post[0] = winner
-		}
-		for _, p := range post {
-			pop.Fire(p, now)
-			if e.cfg.TInhMS > 0 {
-				pop.Inhibit(p, now+e.cfg.TInhMS)
-			}
-		}
-		if check.Enabled && e.cfg.TInhMS > 0 {
-			check.Assert(len(post) <= 1,
-				"infer: inhibition enabled but %d neurons fired in one step", len(post))
-		}
-	}
-	return inputSpikes
 }
 
 // Prediction is the classification outcome for one image.

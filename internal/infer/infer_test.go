@@ -29,6 +29,14 @@ func trainCase(t *testing.T, c golden.Case, opts ...infer.Option) (*network.Netw
 	if err != nil {
 		t.Fatal(err)
 	}
+	net, eng := trainConfig(t, cfg, ctl, opts...)
+	return net, ctl, eng
+}
+
+// trainConfig trains a network of cfg on the golden images and returns it
+// with the frozen inference engine built from its trained state.
+func trainConfig(t *testing.T, cfg network.Config, ctl encode.Control, opts ...infer.Option) (*network.Network, *infer.Engine) {
+	t.Helper()
 	net, err := network.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -55,48 +63,80 @@ func trainCase(t *testing.T, c golden.Case, opts ...infer.Option) (*network.Netw
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net, ctl, eng
+	return net, eng
 }
 
 // TestForwardMatchesPresent is the differential wall: across every golden
 // preset (both rules × Q0.2/Q1.7/Q1.15 × all roundings), infer.Forward must
 // be bit-identical in spike output to network.Present with plasticity
-// disabled, at the exact step counter Present ran with. Any divergence in
-// encoding, current order, integration, WTA tiebreak or clock handling
-// fails here, naming the (rule, format, rounding) cell.
+// disabled, at the exact step counter Present ran with. Both step through
+// network.Core, so a divergence names what surrounds it — encoding, clock
+// handling or spike-count bookkeeping — in a (rule, format, rounding) cell.
+//
+// The fractional-dt cells keep the two clocks honest: Present accumulates
+// an absolute clock (now += dt) from a non-zero start step while Forward
+// computes step·dt from zero, and every timer must still agree. They run a
+// 2 ms inhibition window: under the default 30 ms window the winner re-arms
+// inhibition before it expires, and with no refractory period no timer
+// would decide a spike.
 func TestForwardMatchesPresent(t *testing.T) {
 	for _, c := range golden.Cases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
 			net, ctl, eng := trainCase(t, c)
-			data := golden.CaseImages()
-			for i := 0; i < data.Len(); i++ {
-				start := net.Step()
-				want, err := net.Present(data.Images[i], ctl, false, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Forward(data.Images[i], start)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Steps != want.Steps || got.InputSpikes != want.InputSpikes {
-					t.Fatalf("image %d at step %d: got %d steps/%d input spikes, Present %d/%d",
-						i, start, got.Steps, got.InputSpikes, want.Steps, want.InputSpikes)
-				}
-				for n := range want.SpikeCounts {
-					if got.SpikeCounts[n] != want.SpikeCounts[n] {
-						t.Fatalf("image %d at step %d: neuron %d spiked %d times, Present %d",
-							i, start, n, got.SpikeCounts[n], want.SpikeCounts[n])
-					}
-				}
-				gw, _ := got.Winner()
-				ww, _ := want.Winner()
-				if gw != ww {
-					t.Fatalf("image %d at step %d: winner %d, Present %d", i, start, gw, ww)
-				}
-			}
+			checkForwardMatchesPresent(t, net, ctl, eng)
 		})
+	}
+	for _, c := range []golden.Case{golden.Cases()[4], golden.Cases()[14]} {
+		for _, dt := range []float64{0.1, 0.7} {
+			c, dt := c, dt
+			t.Run(fmt.Sprintf("%s-dt%g", c.Name, dt), func(t *testing.T) {
+				cfg, ctl, err := golden.CaseConfig(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.DTms = dt
+				cfg.TInhMS = 2
+				net, eng := trainConfig(t, cfg, ctl)
+				if net.Step() == 0 {
+					t.Fatal("training left the step counter at 0; the clocks were not exercised apart")
+				}
+				checkForwardMatchesPresent(t, net, ctl, eng)
+			})
+		}
+	}
+}
+
+// checkForwardMatchesPresent presents every golden image without learning
+// and fails unless Forward at the same start step reproduces the result.
+func checkForwardMatchesPresent(t *testing.T, net *network.Network, ctl encode.Control, eng *infer.Engine) {
+	t.Helper()
+	data := golden.CaseImages()
+	for i := 0; i < data.Len(); i++ {
+		start := net.Step()
+		want, err := net.Present(data.Images[i], ctl, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Forward(data.Images[i], start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Steps != want.Steps || got.InputSpikes != want.InputSpikes {
+			t.Fatalf("image %d at step %d: got %d steps/%d input spikes, Present %d/%d",
+				i, start, got.Steps, got.InputSpikes, want.Steps, want.InputSpikes)
+		}
+		for n := range want.SpikeCounts {
+			if got.SpikeCounts[n] != want.SpikeCounts[n] {
+				t.Fatalf("image %d at step %d: neuron %d spiked %d times, Present %d",
+					i, start, n, got.SpikeCounts[n], want.SpikeCounts[n])
+			}
+		}
+		gw, _ := got.Winner()
+		ww, _ := want.Winner()
+		if gw != ww {
+			t.Fatalf("image %d at step %d: winner %d, Present %d", i, start, gw, ww)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package infer
 
-// In-package AllocsPerRun gate for the //psslint:noalloc annotation on
-// Engine.run, the inference hot loop. Forward itself allocates exactly its
-// result's SpikeCounts slice; run — the step loop proper — must be
-// allocation-free once the pooled scratch has served one presentation.
+// In-package AllocsPerRun gate for the inference hot loop: the
+// //psslint:noalloc step core (network.Core) driven through a pooled
+// scratch. Forward itself allocates exactly its result's SpikeCounts slice;
+// the plan rebuild and the core's step loop must be allocation-free once
+// the scratch has served one presentation.
 
 import (
 	"testing"
@@ -53,7 +54,6 @@ func TestNoAllocRun(t *testing.T) {
 	if _, err := e.forward(s, img, 0); err != nil {
 		t.Fatal(err)
 	}
-	dt := e.cfg.DTms
 	total := 0
 	avg := testing.AllocsPerRun(20, func() {
 		// forward's per-presentation setup, minus the result allocation.
@@ -63,15 +63,11 @@ func TestNoAllocRun(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		s.plan = s.src.BuildPlanInto(s.plan, 0, dt, e.steps, e.ctl.Band)
-		s.pop.ResetMembranes()
-		s.pop.ClearSpikeCounts()
-		for i := range s.current {
-			s.current[i] = 0
-		}
-		total += e.run(s, dt)
+		s.plan = s.src.BuildPlanInto(s.plan, 0, e.cfg.DTms, e.steps, e.ctl.Band)
+		s.core.Pop.ClearSpikeCounts()
+		total += s.core.Run(s.plan)
 	})
 	if avg != 0 {
-		t.Errorf("run+rebuild allocates %.1f per presentation, want 0 (input spikes seen: %d)", avg, total)
+		t.Errorf("core run+rebuild allocates %.1f per presentation, want 0 (input spikes seen: %d)", avg, total)
 	}
 }

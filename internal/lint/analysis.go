@@ -8,12 +8,8 @@
 // that each analyzer's Run function would port to the upstream multichecker
 // by changing only the Pass type's import path.
 //
-// The seven analyzers encode invariants the compiler cannot see:
+// The six analyzers encode invariants the compiler cannot see:
 //
-//   - deprecated: qualified calls of the constructors the functional-options
-//     API replaced (engine.NewPool, engine.Sequential{}, positional
-//     learn.NewTrainer). A type-resolved AST check, so comments, line breaks
-//     or aliased imports cannot fool it the way they fooled the old grep.
 //   - fixedrange: raw +, -, *, / arithmetic on fixed.Weight values outside
 //     internal/fixed. Raw arithmetic bypasses saturation and the paper's
 //     rounding options (eqs. 6–8); the sanctioned path is fixed.Format's
@@ -137,7 +133,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		DeprecatedAnalyzer, FixedRangeAnalyzer, DetRandAnalyzer, IOErrAnalyzer,
+		FixedRangeAnalyzer, DetRandAnalyzer, IOErrAnalyzer,
 		RCUImmutAnalyzer, GoLifecycleAnalyzer, HotAllocAnalyzer,
 	}
 }
@@ -162,4 +158,23 @@ func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 		return info.Uses[fn.Sel]
 	}
 	return nil
+}
+
+// isMethodOf reports whether obj is the method `name` on the defined type
+// `recv` (value or pointer receiver) from package pkgPath.
+func isMethodOf(obj types.Object, pkgPath, recv, name string) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Name() != name || objPkgPath(fn) != pkgPath {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == recv
 }

@@ -18,10 +18,6 @@ func checkFixture(t *testing.T, dir string, a *Analyzer) {
 	}
 }
 
-func TestDeprecatedAnalyzer(t *testing.T) {
-	checkFixture(t, "testdata/src/deprecated", DeprecatedAnalyzer)
-}
-
 func TestFixedRangeAnalyzer(t *testing.T) {
 	checkFixture(t, "testdata/src/fixedrange", FixedRangeAnalyzer)
 }
@@ -90,17 +86,6 @@ func TestHotAllocAnalyzer(t *testing.T) {
 	checkFixture(t, "testdata/src/hotalloc", HotAllocAnalyzer)
 }
 
-// TestRowShimReintroduction retargets the deprecated analyzer's synapse
-// path at a fixture that redefines Matrix.Row: with the old self-exemption
-// gone, even the defining package cannot bring the shim back.
-func TestRowShimReintroduction(t *testing.T) {
-	const fixturePath = "parallelspikesim/internal/lint/testdata/src/rowshim"
-	old := synapsePkgPath
-	synapsePkgPath = fixturePath
-	defer func() { synapsePkgPath = old }()
-	checkFixture(t, "testdata/src/rowshim", DeprecatedAnalyzer)
-}
-
 // TestSuiteCleanOnOwnPackage runs every analyzer over this package itself —
 // a live example of the tree-wide gate psslint enforces in CI.
 func TestSuiteCleanOnOwnPackage(t *testing.T) {
@@ -118,14 +103,14 @@ func TestSuiteCleanOnOwnPackage(t *testing.T) {
 }
 
 func TestLoadResolvesTypes(t *testing.T) {
-	pkg, err := LoadDir("testdata/src/deprecated")
+	pkg, err := LoadDir("testdata/src/fixedrange")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pkg.Types == nil || pkg.TypesInfo == nil || len(pkg.Files) == 0 {
 		t.Fatal("loader returned an incomplete package")
 	}
-	if !strings.HasSuffix(pkg.PkgPath, "testdata/src/deprecated") {
+	if !strings.HasSuffix(pkg.PkgPath, "testdata/src/fixedrange") {
 		t.Fatalf("unexpected package path %q", pkg.PkgPath)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // wantRe matches the expectation comment syntax used in testdata fixtures:
 //
-//	engine.NewPool(4) // want `NewPool is deprecated`
+//	w += 0.125 // want `raw \+= on fixed.Weight`
 //
 // The backquoted pattern is a regexp matched against the diagnostic
 // message, mirroring golang.org/x/tools/go/analysis/analysistest.

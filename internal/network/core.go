@@ -1,0 +1,245 @@
+package network
+
+import (
+	"math"
+
+	"parallelspikesim/internal/check"
+	"parallelspikesim/internal/encode"
+	"parallelspikesim/internal/neuron"
+	"parallelspikesim/internal/obs"
+	"parallelspikesim/internal/synapse"
+)
+
+// Core is the forward-step loop of one presentation — the kernel sequence
+// the paper's simulation environment runs per time step (Fig 2, §III) — and
+// the only place a presentation is stepped. Network.PresentPlan runs it with
+// a training hook; infer.Engine runs it bare over a frozen matrix, so
+// inference is bit-identical to an evaluation presentation by construction.
+// A Core is not safe for concurrent use: each presenting goroutine owns one.
+type Core struct {
+	Pop *neuron.Population
+	syn *synapse.Matrix
+
+	dt, amp, tInh float64
+	decay         float64 // per-step synaptic current decay; 0 = instantaneous
+
+	current []float64 // per-neuron synaptic current trace
+	in      []int     // input-spike scratch, kept for its capacity
+	cand    []int     // threshold-crosser scratch, kept for its capacity
+
+	// Phase timers; nil (free no-ops) unless an observed network sets them.
+	obsEncode, obsIntegrate, obsInhibit *obs.Timer
+}
+
+// NewCore binds a population and a conductance matrix, both of cfg's
+// geometry, to a step core running cfg's electrical constants.
+func NewCore(cfg Config, pop *neuron.Population, syn *synapse.Matrix) *Core {
+	c := &Core{
+		Pop:     pop,
+		syn:     syn,
+		dt:      cfg.DTms,
+		amp:     cfg.SpikeAmp,
+		tInh:    cfg.TInhMS,
+		current: make([]float64, cfg.NumNeurons),
+	}
+	if cfg.TauSynMS > 0 {
+		c.decay = math.Exp(-cfg.DTms / cfg.TauSynMS)
+	}
+	return c
+}
+
+// Run steps one presentation of plan from reset membranes, a zero current
+// trace and a clock at 0 ms — every timer is relative to the presentation
+// start — and returns the number of input spikes delivered. The spikes
+// fired add to Pop's spike counters.
+func (c *Core) Run(plan *encode.Plan) int { return c.run(plan, nil) }
+
+// run is Run with an optional training hook (nil for inference). Each step:
+//
+//  1. replay the step's input spikes from the sparse plan, ascending by
+//     pixel — the order that fixes the float summation order below;
+//  2. integrate over the whole neuron range: decay the synaptic current,
+//     accumulate the input spikes into it (eq. 3) with the multi-row
+//     synapse kernel, and step the LIF membranes (eqs. 1–2), collecting
+//     threshold crossers without committing their spikes;
+//  3. winner-take-all: with inhibition enabled only the strongest crosser
+//     fires — it would have crossed first in continuous time — and its
+//     layer-2 relay inhibits every other neuron for t_inh; the losers are
+//     suppressed.
+//
+// A step at the paper's 784×1000 operating point is ~11 µs of work, less
+// than a worker-pool handoff costs, so it runs on the calling goroutine
+// (DESIGN.md §16.4). Once the first presentation has warmed the scratch
+// capacities, run performs no heap allocation (TestNoAllocRun).
+//
+//psslint:noalloc
+func (c *Core) run(plan *encode.Plan, h *trainHook) int {
+	if check.Enabled {
+		// A malformed plan — hostile offsets, out-of-range pixels, a bitset
+		// out of sync with the CSR rows — must die here, not corrupt the
+		// simulation.
+		if err := plan.Validate(); err != nil {
+			check.Assert(false, "network: spike plan failed validation: %v", err)
+		}
+	}
+	// Per-step state lives in locals so the loop neither reloads nor stores
+	// through c every step; the scratch slices are written back at the end.
+	pop, cur, decay, in, cand := c.Pop, c.current, c.decay, c.in, c.cand
+	pop.ResetMembranes()
+	clear(cur)
+	inputSpikes := 0
+	for s := 0; s < plan.Steps(); s++ {
+		now := float64(s) * c.dt
+		if h != nil {
+			now = h.n.now // training keeps the network's absolute clock
+		}
+
+		t := c.obsEncode.Start()
+		in = plan.Step(s, in[:0])
+		c.obsEncode.Stop(t)
+		inputSpikes += len(in)
+		if h != nil {
+			h.inputs(in, now)
+		}
+
+		t = c.obsIntegrate.Start()
+		if decay == 0 {
+			clear(cur)
+		} else {
+			for i := range cur {
+				cur[i] *= decay
+			}
+		}
+		c.syn.AccumulateSpikesRange(in, c.amp, cur, 0, len(cur))
+		cand = pop.CandidatesRange(0, len(cur), c.dt, now, cur, cand[:0])
+		c.obsIntegrate.Stop(t)
+
+		t = c.obsInhibit.Start()
+		post := cand
+		if c.tInh > 0 && len(post) > 1 {
+			winner := selectWinner(pop, post)
+			for _, p := range post {
+				if p != winner {
+					pop.Suppress(p)
+				}
+			}
+			post = post[:1]
+			post[0] = winner
+		}
+		for _, p := range post {
+			pop.Fire(p, now)
+			if c.tInh > 0 {
+				pop.Inhibit(p, now+c.tInh)
+			}
+		}
+		if check.Enabled && c.tInh > 0 && len(post) > 0 {
+			// At most one neuron fires per step, and every losing candidate
+			// sits inside the inhibition window it triggered.
+			check.Assert(len(post) == 1,
+				"network: inhibition enabled but %d neurons fired in one step", len(post))
+			for _, p := range cand {
+				if p != post[0] {
+					check.Assert(pop.Inhibited(p, now),
+						"network: WTA loser %d escaped the inhibition window at t=%v", p, now)
+				}
+			}
+		}
+		c.obsInhibit.Stop(t)
+
+		if h != nil {
+			if len(post) > 0 {
+				h.fired(post, now)
+			}
+			h.n.step++
+			h.n.now += c.dt
+		}
+	}
+	c.in, c.cand = in, cand
+	return inputSpikes
+}
+
+// selectWinner returns the winner-take-all victor among a step's threshold
+// crossers: the candidate with the largest membrane overshoot, which would
+// have crossed first in continuous time (ties break toward the lowest
+// index, candidates being in ascending order). candidates must be non-empty.
+func selectWinner(pop *neuron.Population, candidates []int) int {
+	winner := candidates[0]
+	for _, c := range candidates[1:] {
+		if pop.Overshoot(c) > pop.Overshoot(winner) {
+			winner = c
+		}
+	}
+	return winner
+}
+
+// trainHook is what a training presentation adds to the bare core loop:
+// spike recording, diagnostics, the lazy row flush, pre-spike times, STDP
+// and the network's step counter and absolute clock.
+type trainHook struct {
+	n     *Network
+	rec   *Recorder
+	learn bool
+}
+
+// inputs runs between input replay and integrate.
+func (h *trainHook) inputs(in []int, now float64) {
+	n := h.n
+	if h.rec != nil {
+		for _, px := range in {
+			h.rec.InputSpikes = append(h.rec.InputSpikes, SpikeEvent{TimeMS: now, Index: px})
+		}
+	}
+	// Lazy mode: the rows the integrate is about to read must first be
+	// brought up to date. Flushing before lastPre moves is what keeps the
+	// deferred replay bit-identical to the dense schedule: every pending
+	// event recorded since a row's last flush observed exactly the lastPre
+	// value the row still holds. Only the handful of rows spiking this step
+	// are touched, so the flush runs inline.
+	if n.lazy != nil && h.learn && len(in) > 0 && n.lazy.Events() > 0 {
+		tp := n.obsPlast.Start()
+		for _, pre := range in {
+			n.lazy.FlushRow(pre, n.lastPre[pre])
+		}
+		n.obsPlast.Stop(tp)
+	}
+	// Neither integrate kernel reads lastPre; only post-spike learning does.
+	for _, pre := range in {
+		n.lastPre[pre] = now
+	}
+}
+
+// fired handles the step's post spikes once the core has fired the winner
+// and inhibited the rest. The learning rule reads only lastPre, G and the
+// step counter, never the population, so applying it after the
+// winner-take-all commits is the same as applying it in between.
+func (h *trainHook) fired(post []int, now float64) {
+	n := h.n
+	if h.learn {
+		if n.lazy != nil {
+			// Defer the column update; rows replay it when their pre
+			// neuron next spikes or at presentation end.
+			for _, p := range post {
+				n.lazy.Record(p, now, n.step)
+			}
+		} else {
+			tp := n.obsPlast.Start()
+			for _, p := range post {
+				n.Plast.OnPostSpikeRange(p, now, n.lastPre, n.step, 0, n.Cfg.NumInputs)
+			}
+			n.obsPlast.Stop(tp)
+		}
+		n.obsSynUpd.Add(uint64(len(post) * n.Cfg.NumInputs))
+	}
+	n.TotalExcSpikes += uint64(len(post))
+	n.obsExcSp.Add(uint64(len(post)))
+	if n.Cfg.TInhMS > 0 {
+		// One layer-2 relay activation per winner.
+		n.TotalInhEvents += uint64(len(post))
+		n.obsInhEv.Add(uint64(len(post)))
+	}
+	if h.rec != nil {
+		for _, p := range post {
+			h.rec.NeuronSpikes = append(h.rec.NeuronSpikes, SpikeEvent{TimeMS: now, Index: p})
+		}
+	}
+}

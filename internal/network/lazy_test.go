@@ -45,8 +45,8 @@ func assertSameRun(t *testing.T, label string, a, b *Network, imgs [][]uint8, ct
 			t.Fatalf("%s: conductance %d diverged: %v vs %v", label, i, wa[i], wb[i])
 		}
 	}
-	pa, da, _, _ := a.Plast.Counters()
-	pb, db, _, _ := b.Plast.Counters()
+	pa, da := a.Plast.Counters()
+	pb, db := b.Plast.Counters()
 	if pa != pb || da != db {
 		t.Fatalf("%s: update counters diverged: pot %d vs %d, dep %d vs %d", label, pa, pb, da, db)
 	}

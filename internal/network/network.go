@@ -6,22 +6,19 @@
 // second-layer partner suppresses every *other* first-layer neuron for
 // t_inh milliseconds.
 //
-// The per-step schedule keeps STDP causality clean:
-//
-//  1. replay this step's input spikes from the presentation's sparse spike
-//     plan; in lazy mode, then bring the spiking rows up to date with the
-//     deferred post-spike updates;
-//  2. integrate, inline over the neuron range: decay the synaptic current,
-//     accumulate the input spikes into it (eq. 3) with the multi-row
-//     synapse kernel, and step the LIF layer (eqs. 1–2), collecting
-//     threshold crossers;
-//  3. record the new pre-spike times;
-//  4. winner-take-all among the crossers, then for the post spike: the
-//     learning rule's update of its synapse column — deterministic eqs.
-//     4–5, or stochastic eq. 6 potentiation and eq. 7 depression
-//     (StochParams.PDepEvent) — applied at once in dense mode or deferred
-//     to each row's next spike in lazy mode; inhibition of the other
-//     neurons; post-spike time update.
+// Every presentation steps through one loop, Core: replay the step's input
+// spikes from the presentation's sparse plan, integrate (decay the synaptic
+// current, accumulate the input spikes into it per eq. 3, step the LIF
+// layer per eqs. 1–2), then winner-take-all among the threshold crossers.
+// Training (PresentPlan) hooks into that loop, in an order that keeps STDP
+// causality clean: in lazy mode the spiking rows are brought up to date
+// with the deferred post-spike updates before integrate reads them, then
+// the pre-spike times move, and each post spike applies the learning
+// rule to its synapse column — deterministic eqs. 4–5, or stochastic eq. 6
+// potentiation and eq. 7 depression (StochParams.PDepEvent) — at once in
+// dense mode or deferred to each row's next spike in lazy mode.
+// Frozen-weight inference (internal/infer) runs the same loop with no hook,
+// so the two cannot drift apart.
 //
 // Every step runs on the presenting goroutine: at the paper's operating
 // point a step is a few µs of work, less than a worker-pool handoff costs
@@ -33,9 +30,7 @@ package network
 
 import (
 	"fmt"
-	"math"
 
-	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/neuron"
@@ -166,22 +161,15 @@ type Network struct {
 	lazy *synapse.Queue // deferred-update queue; nil in dense mode
 
 	// Phase timers and event counters; all nil (no-op) without an observer.
-	obsEncode    *obs.Timer // per-step sparse plan lookup
 	obsEncodeBld *obs.Timer // per-presentation sparse plan construction
-	obsIntegrate *obs.Timer
 	obsPlast     *obs.Timer
-	obsInhibit   *obs.Timer
 	obsInputSp   *obs.Counter
 	obsExcSp     *obs.Counter
 	obsInhEv     *obs.Counter
 	obsSynUpd    *obs.Counter
 
-	lastPre  []float64 // last spike time per input train
-	lastPost []float64 // last spike time per first-layer neuron
-	current  []float64 // per-neuron input current (trace)
-
-	spikeBuf []int // threshold-crosser scratch
-	planBuf  []int // scratch for consuming precomputed spike plans
+	core    *Core     // the forward-step loop over Exc and Syn
+	lastPre []float64 // last spike time per input train
 
 	// Inline (plan-less) presentations build their sparse spike schedule
 	// here, recycling the source's rate/threshold buffers and the plan's
@@ -275,23 +263,19 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{
-		Cfg:      cfg,
-		Exc:      exc,
-		Syn:      mat,
-		Plast:    plast,
-		exec:     exec,
-		rec:      bo.rec,
-		reg:      bo.reg,
-		lastPre:  make([]float64, cfg.NumInputs),
-		lastPost: make([]float64, cfg.NumNeurons),
-		current:  make([]float64, cfg.NumNeurons),
+		Cfg:     cfg,
+		Exc:     exc,
+		Syn:     mat,
+		Plast:   plast,
+		exec:    exec,
+		rec:     bo.rec,
+		reg:     bo.reg,
+		core:    NewCore(cfg, exc, mat),
+		lastPre: make([]float64, cfg.NumInputs),
 
 		// All handles are nil (free no-ops) when bo.reg is nil.
-		obsEncode:    bo.reg.Timer("network_phase_encode_ns"),
 		obsEncodeBld: bo.reg.Timer("network_phase_encode_build_ns"),
-		obsIntegrate: bo.reg.Timer("network_phase_integrate_ns"),
 		obsPlast:     bo.reg.Timer("network_phase_plasticity_ns"),
-		obsInhibit:   bo.reg.Timer("network_phase_inhibit_ns"),
 		obsInputSp:   bo.reg.Counter("network_input_spikes_total"),
 		obsExcSp:     bo.reg.Counter("network_exc_spikes_total"),
 		obsInhEv:     bo.reg.Counter("network_inh_events_total"),
@@ -304,7 +288,10 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		}
 		n.lazy = q
 	}
-	n.resetTimers()
+	// The core's phase timers; per-step plan lookup, integrate and WTA.
+	n.core.obsEncode = bo.reg.Timer("network_phase_encode_ns")
+	n.core.obsIntegrate = bo.reg.Timer("network_phase_integrate_ns")
+	n.core.obsInhibit = bo.reg.Timer("network_phase_inhibit_ns")
 	return n, nil
 }
 
@@ -320,18 +307,6 @@ func (n *Network) Plasticity() PlasticityMode {
 // components (learn.Trainer's batched spike-train prefetch) reuse it so one
 // worker pool serves the whole stack.
 func (n *Network) Executor() engine.Executor { return n.exec }
-
-func (n *Network) resetTimers() {
-	for i := range n.lastPre {
-		n.lastPre[i] = synapse.Never
-	}
-	for i := range n.lastPost {
-		n.lastPost[i] = synapse.Never
-	}
-	for i := range n.current {
-		n.current[i] = 0
-	}
-}
 
 // Observer returns the registry installed with WithObserver (nil when the
 // network is unobserved). Downstream components (learn.Trainer) register
@@ -487,18 +462,11 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 			return PresentResult{}, err
 		}
 	}
-	if check.Enabled {
-		// Every presentation replays from a plan now; a malformed one —
-		// hostile offsets, out-of-range pixels, a bitset out of sync with
-		// the CSR rows — must die here, not corrupt the simulation.
-		if err := plan.Validate(); err != nil {
-			check.Assert(false, "network: spike plan failed validation: %v", err)
-		}
-	}
 
-	n.Exc.ResetMembranes()
 	n.Exc.FreezeTheta = !learn // evaluation mode: homeostasis frozen
-	n.resetTimers()
+	for i := range n.lastPre {
+		n.lastPre[i] = synapse.Never
+	}
 	// SpikeCounts starts at minus the lifetime counts and gets the
 	// post-presentation counts added at the end.
 	counts := make([]int, n.Cfg.NumNeurons)
@@ -506,153 +474,10 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 		counts[i] = -int(c)
 	}
 
-	dt := n.Cfg.DTms
-	decay := 0.0
-	if n.Cfg.TauSynMS > 0 {
-		decay = math.Exp(-dt / n.Cfg.TauSynMS)
-	}
 	res := PresentResult{SpikeCounts: counts, Steps: steps}
-
-	for s := 0; s < steps; s++ {
-		now := n.now
-		step := n.step
-
-		// (1) Input spikes: replayed from the sparse event schedule —
-		// prefetched by the caller or built inline above. Both draw from
-		// the same counter-based stream as a dense per-pixel scan, so the
-		// spikes are identical; the lookup is a CSR row copy whose cost
-		// scales with the spikes of this step, not NumInputs.
-		tEnc := n.obsEncode.Start()
-		n.planBuf = plan.Step(s, n.planBuf[:0])
-		inputSpikes := n.planBuf
-		n.obsEncode.Stop(tEnc)
-		res.InputSpikes += len(inputSpikes)
-		n.TotalInputSpikes += uint64(len(inputSpikes))
-		n.obsInputSp.Add(uint64(len(inputSpikes)))
-		if rec != nil {
-			for _, px := range inputSpikes {
-				rec.InputSpikes = append(rec.InputSpikes, SpikeEvent{TimeMS: now, Index: px})
-			}
-		}
-
-		// (1b) Lazy mode: the rows about to be read by the current sum must
-		// be brought up to date first. Flushing here — before (3) moves
-		// lastPre — is what keeps the deferred replay bit-identical to the
-		// dense schedule: every pending event recorded since this row's last
-		// flush observed exactly the lastPre value the row still holds.
-		// The flush runs inline: only the handful of rows spiking this
-		// step are touched, so a parallel dispatch would cost more in
-		// barrier overhead than the replay itself.
-		if n.lazy != nil && learn && len(inputSpikes) > 0 && n.lazy.Events() > 0 {
-			tp := n.obsPlast.Start()
-			for _, pre := range inputSpikes {
-				n.lazy.FlushRow(pre, n.lastPre[pre])
-			}
-			n.obsPlast.Stop(tp)
-		}
-
-		// (2) Integrate, inline over the whole neuron range: decay the
-		// synaptic current, accumulate this step's input spikes into it
-		// (eq. 3) and step the LIF membranes (eqs. 1–2), collecting
-		// threshold crossers in ascending order without committing spikes
-		// yet. A step at the paper's 784×1000 operating point is ~11 µs of
-		// work, less than a worker-pool handoff costs, so it runs on the
-		// presenting goroutine (DESIGN.md §16.4).
-		tInt := n.obsIntegrate.Start()
-		cur := n.current
-		if decay == 0 {
-			clear(cur)
-		} else {
-			for i := range cur {
-				cur[i] *= decay
-			}
-		}
-		n.Syn.AccumulateSpikesRange(inputSpikes, n.Cfg.SpikeAmp, cur, 0, n.Cfg.NumNeurons)
-		n.spikeBuf = n.Exc.CandidatesRange(0, n.Cfg.NumNeurons, dt, now, cur, n.spikeBuf[:0])
-		candidates := n.spikeBuf
-		n.obsIntegrate.Stop(tInt)
-
-		// (3) Pre-spike time bookkeeping. Neither integrate kernel reads
-		// lastPre; the post-spike learning below does.
-		for _, pre := range inputSpikes {
-			n.lastPre[pre] = now
-		}
-
-		// (4) Winner-take-all + post-spike learning. With inhibition
-		// enabled, only the strongest same-step crosser fires (it would
-		// have crossed first in continuous time and its layer-2 relay
-		// inhibits the rest); the losers are suppressed.
-		postSpikes := candidates
-		// The inhibit timer spans WTA selection and post-spike event
-		// handling; plasticity kernel time is measured separately and
-		// excluded, so the two histograms partition the section's wall
-		// time (see DESIGN.md "Observability").
-		tWTA := n.obsInhibit.Start()
-		var plastNs int64
-		if n.Cfg.TInhMS > 0 && len(candidates) > 1 {
-			winner := SelectWinner(n.Exc, candidates)
-			for _, c := range candidates {
-				if c != winner {
-					n.Exc.Suppress(c)
-				}
-			}
-			postSpikes = candidates[:1]
-			postSpikes[0] = winner
-		}
-		for _, post := range postSpikes {
-			n.Exc.Fire(post, now)
-			if learn {
-				if n.lazy != nil {
-					// Defer the column update; rows replay it when their pre
-					// neuron next spikes or at presentation end.
-					n.lazy.Record(post, now, step)
-				} else {
-					// The column update runs inline for the same reason
-					// as the integrate. OnPostSpikeRange, not OnPostSpike:
-					// the dense path never bumps the roll counters.
-					tp := n.obsPlast.Start()
-					n.Plast.OnPostSpikeRange(post, now, n.lastPre, step, 0, n.Cfg.NumInputs)
-					plastNs += n.obsPlast.Since(tp)
-				}
-				n.obsSynUpd.Add(uint64(n.Cfg.NumInputs))
-			}
-			n.lastPost[post] = now
-			if n.Cfg.TInhMS > 0 {
-				// Layer-2 relay fires and inhibits all other neurons.
-				n.Exc.Inhibit(post, now+n.Cfg.TInhMS)
-				n.TotalInhEvents++
-				n.obsInhEv.Inc()
-			}
-			n.TotalExcSpikes++
-			n.obsExcSp.Inc()
-			if rec != nil {
-				rec.NeuronSpikes = append(rec.NeuronSpikes, SpikeEvent{TimeMS: now, Index: post})
-			}
-		}
-		if tWTA != 0 {
-			n.obsInhibit.Observe(n.obsInhibit.Since(tWTA) - plastNs)
-			if plastNs > 0 {
-				n.obsPlast.Observe(plastNs)
-			}
-		}
-		if check.Enabled && n.Cfg.TInhMS > 0 && len(postSpikes) > 0 {
-			// Winner-take-all bookkeeping: with inhibition enabled at most
-			// one neuron fires per step, and every losing candidate must sit
-			// inside the layer-2 inhibition window it triggered.
-			check.Assert(len(postSpikes) == 1,
-				"network: inhibition enabled but %d neurons fired in one step", len(postSpikes))
-			winner := postSpikes[0]
-			for _, c := range candidates {
-				if c != winner {
-					check.Assert(n.Exc.Inhibited(c, now),
-						"network: WTA loser %d escaped the inhibition window at t=%v", c, now)
-				}
-			}
-		}
-
-		n.step++
-		n.now += dt
-	}
+	res.InputSpikes = n.core.run(plan, &trainHook{n: n, rec: rec, learn: learn})
+	n.TotalInputSpikes += uint64(res.InputSpikes)
+	n.obsInputSp.Add(uint64(res.InputSpikes))
 
 	// Lazy mode: the presentation boundary is a read point — checkpoints,
 	// statistics and receptive-field plots all inspect the matrix between
@@ -674,21 +499,4 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 		counts[i] += int(c)
 	}
 	return res, nil
-}
-
-// SelectWinner returns the winner-take-all victor among a step's threshold
-// crossers: the candidate with the largest membrane overshoot, which would
-// have crossed first in continuous time (ties break toward the lowest
-// index, candidates being in ascending order). Both the training path
-// (Present) and the frozen-weight inference path (internal/infer) select
-// winners through this one function, so the two can never disagree on a
-// tiebreak. candidates must be non-empty.
-func SelectWinner(pop *neuron.Population, candidates []int) int {
-	winner := candidates[0]
-	for _, c := range candidates[1:] {
-		if pop.Overshoot(c) > pop.Overshoot(winner) {
-			winner = c
-		}
-	}
-	return winner
 }

@@ -303,10 +303,10 @@ func checkParallelMatchesSequential(t *testing.T, name string, cfg Config, worke
 		if rs.InputSpikes != rp.InputSpikes {
 			t.Fatalf("%s: image %d input spikes differ", name, i)
 		}
-		for n := range seqNet.current {
-			if math.Float64bits(seqNet.current[n]) != math.Float64bits(parNet.current[n]) {
+		for n := range seqNet.core.current {
+			if math.Float64bits(seqNet.core.current[n]) != math.Float64bits(parNet.core.current[n]) {
 				t.Fatalf("%s: image %d current %d diverged: %v vs %v",
-					name, i, n, seqNet.current[n], parNet.current[n])
+					name, i, n, seqNet.core.current[n], parNet.core.current[n])
 			}
 		}
 	}

@@ -42,8 +42,8 @@ func assertSameMatrix(t *testing.T, dense, lazy *Plasticity) {
 			t.Fatalf("synapse %d diverged: dense %v, lazy %v", i, dw[i], lw[i])
 		}
 	}
-	dp, dd, _, _ := dense.Counters()
-	lp, ld, _, _ := lazy.Counters()
+	dp, dd := dense.Counters()
+	lp, ld := lazy.Counters()
 	if dp != lp || dd != ld {
 		t.Fatalf("counters diverged: pot %d/%d, dep %d/%d", dp, lp, dd, ld)
 	}
@@ -163,12 +163,12 @@ func TestApplyHelpersSkipCounters(t *testing.T) {
 	}
 	p.applyPot(0, 0, 1)
 	p.applyDep(1, 1, 1)
-	if pot, dep, _, _ := p.Counters(); pot != 0 || dep != 0 {
+	if pot, dep := p.Counters(); pot != 0 || dep != 0 {
 		t.Fatalf("apply helpers counted: pot %d dep %d", pot, dep)
 	}
 	p.potentiate(0, 0, 2)
 	p.depress(1, 1, 2)
-	if pot, dep, _, _ := p.Counters(); pot != 1 || dep != 1 {
+	if pot, dep := p.Counters(); pot != 1 || dep != 1 {
 		t.Fatalf("wrappers counted pot %d dep %d, want 1/1", pot, dep)
 	}
 }

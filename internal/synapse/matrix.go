@@ -234,8 +234,8 @@ func (m *Matrix) Stats() (minG, maxG, mean float64) {
 // AccumulateSpikesRange adds g(pre, i)·amp into current[i] for every input
 // pre in pres, in pres order, and every post neuron i in [lo, hi) — eq. 3
 // for one step's spiking inputs over the post range the engine hands one
-// worker. Training (network.PresentPlan) and inference (infer) both
-// integrate through it. On the packed store it runs fixed's
+// worker. The step core (network.Core) integrates through it for training
+// and inference alike. On the packed store it runs fixed's
 // register-blocked AccumulateRows, which reads each spiking row's words
 // once per block of lanes and keeps the block's currents in registers
 // across the rows; the float fallback walks the rows one at a time. Either

@@ -65,12 +65,12 @@ func TestNoAllocOnPostSpike(t *testing.T) {
 		lastPre := []float64{Never, 38, 12, 39.5, 5, Never}
 		step := uint64(0)
 		avg := testing.AllocsPerRun(50, func() {
-			p.OnPostSpike(1, 40, lastPre, step)
+			p.OnPostSpikeRange(1, 40, lastPre, step, 0, len(lastPre))
 			p.OnPostSpikeRange(2, 40, lastPre, step, 0, 6)
 			step++
 		})
 		if avg != 0 {
-			t.Errorf("%v: OnPostSpike(Range) allocates %.1f per run, want 0", kind, avg)
+			t.Errorf("%v: OnPostSpikeRange allocates %.1f per run, want 0", kind, avg)
 		}
 	}
 }

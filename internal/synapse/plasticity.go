@@ -46,8 +46,6 @@ type Plasticity struct {
 	// different posts run on different workers.
 	potApplied atomic.Uint64
 	depApplied atomic.Uint64
-	potRolls   atomic.Uint64
-	depRolls   atomic.Uint64
 }
 
 // NewPlasticity validates the config and binds it to a matrix.
@@ -74,18 +72,15 @@ func NewPlasticity(cfg Config, m *Matrix) (*Plasticity, error) {
 	return p, nil
 }
 
-// Counters reports how many potentiation/depression updates were applied
-// and how many stochastic rolls were taken.
-func (p *Plasticity) Counters() (potApplied, depApplied, potRolls, depRolls uint64) {
-	return p.potApplied.Load(), p.depApplied.Load(), p.potRolls.Load(), p.depRolls.Load()
+// Counters reports how many potentiation/depression updates were applied.
+func (p *Plasticity) Counters() (potApplied, depApplied uint64) {
+	return p.potApplied.Load(), p.depApplied.Load()
 }
 
 // ResetCounters zeroes the diagnostic counters.
 func (p *Plasticity) ResetCounters() {
 	p.potApplied.Store(0)
 	p.depApplied.Store(0)
-	p.potRolls.Store(0)
-	p.depRolls.Store(0)
 }
 
 // applyPot performs the arithmetic of one LTP step to synapse (pre, post)
@@ -151,7 +146,7 @@ func (p *Plasticity) depress(pre, post int, step uint64) {
 	p.depApplied.Add(1)
 }
 
-// OnPostSpike applies the learning rule for a post-neuron spike at absolute
+// OnPostSpikeRange applies the learning rule for a post-neuron spike at absolute
 // time now (ms). lastPre[i] holds the last spike time of input i (Never if
 // it has not spiked). step is the global simulation step index used to key
 // stochastic draws.
@@ -169,42 +164,8 @@ func (p *Plasticity) depress(pre, post int, step uint64) {
 //     conductance only rarely — the paper's explanation for why stochastic
 //     STDP retains memory and survives coarse quantization (§IV-D).
 //
-//psslint:noalloc
-func (p *Plasticity) OnPostSpike(post int, now float64, lastPre []float64, step uint64) {
-	w := p.Cfg.Det.WindowMS
-	switch p.Cfg.Kind {
-	case Deterministic:
-		for pre, tPre := range lastPre {
-			if now-tPre <= w { // tPre == Never gives +Inf → depress
-				p.potentiate(pre, post, step)
-			} else {
-				p.depress(pre, post, step)
-			}
-		}
-	case Stochastic:
-		for pre, tPre := range lastPre {
-			dt := now - tPre
-			if pp := p.Cfg.Stoch.PPot(dt); pp > 0 {
-				p.potRolls.Add(1)
-				if rng.Bernoulli(pp, p.Cfg.Seed, tagPotRoll, step, uint64(pre), uint64(post)) {
-					p.potentiate(pre, post, step)
-					continue
-				}
-			}
-			if pd := p.Cfg.Stoch.PDepEvent(dt, w); pd > 0 {
-				p.depRolls.Add(1)
-				if rng.Bernoulli(pd, p.Cfg.Seed, tagDepRoll, step, uint64(pre), uint64(post)) {
-					p.depress(pre, post, step)
-				}
-			}
-		}
-	}
-}
-
-// OnPostSpikeRange is OnPostSpike restricted to input synapses [lo, hi);
-// the parallel engine uses it to partition a post-spike update across
-// workers (each worker owns a contiguous pre range of the same post
-// column, so updates never race).
+// Only input synapses [lo, hi) of the post column move: disjoint pre
+// ranges of one column never race, so a caller may split an update.
 //
 //psslint:noalloc
 func (p *Plasticity) OnPostSpikeRange(post int, now float64, lastPre []float64, step uint64, lo, hi int) {

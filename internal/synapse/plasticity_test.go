@@ -148,7 +148,7 @@ func TestDeterministicPostSpikeClassification(t *testing.T) {
 
 	// Pre 0 fired recently (causal), pre 1 long ago, pre 2 never.
 	lastPre := []float64{95, 10, Never}
-	p.OnPostSpike(0, 100, lastPre, 1)
+	p.OnPostSpikeRange(0, 100, lastPre, 1, 0, len(lastPre))
 
 	if m.At(0, 0) <= 0.5 {
 		t.Errorf("causal synapse not potentiated: %v", m.At(0, 0))
@@ -165,7 +165,7 @@ func TestDeterministicUpdateMagnitudes(t *testing.T) {
 	cfg := floatConfig(Deterministic)
 	p, m := newPair(t, cfg, 2, 1)
 	m.Fill(0.5)
-	p.OnPostSpike(0, 100, []float64{99, 0}, 1)
+	p.OnPostSpikeRange(0, 100, []float64{99, 0}, 1, 0, 2)
 	// eq. 4 at G=0.5: ΔG_p = 0.01·e^{-1.5}
 	wantUp := 0.5 + 0.01*math.Exp(-1.5)
 	if got := float64(m.At(0, 0)); math.Abs(got-wantUp) > 1e-12 {
@@ -187,7 +187,7 @@ func TestStochasticPostSpikeRespectsProbability(t *testing.T) {
 	m.Fill(0.5)
 	lastPre := []float64{100, -200} // pre 0 just fired, pre 1 fired 300ms ago
 	for post := 0; post < nPost; post++ {
-		p.OnPostSpike(post, 100, lastPre, uint64(post))
+		p.OnPostSpikeRange(post, 100, lastPre, uint64(post), 0, len(lastPre))
 	}
 	upRecent, upStale := 0, 0
 	for post := 0; post < nPost; post++ {
@@ -218,7 +218,7 @@ func TestStochasticStaleDepressionProbability(t *testing.T) {
 	w := cfg.Det.WindowMS
 	lastPre := []float64{100 - w}
 	for post := 0; post < nPost; post++ {
-		p.OnPostSpike(post, 100, lastPre, uint64(post))
+		p.OnPostSpikeRange(post, 100, lastPre, uint64(post), 0, len(lastPre))
 	}
 	down, up := 0, 0
 	for post := 0; post < nPost; post++ {
@@ -250,7 +250,7 @@ func TestStochasticVeryStaleDepressesAtCeiling(t *testing.T) {
 	m.Fill(0.5)
 	lastPre := []float64{-1000} // ~1.1 s stale
 	for post := 0; post < nPost; post++ {
-		p.OnPostSpike(post, 100, lastPre, uint64(post))
+		p.OnPostSpikeRange(post, 100, lastPre, uint64(post), 0, len(lastPre))
 	}
 	down := 0
 	for post := 0; post < nPost; post++ {
@@ -269,7 +269,7 @@ func TestStochasticNeverFiredPreDepresses(t *testing.T) {
 	m.Fill(0.5)
 	// A pre that never fired carries no causal evidence: the post-event
 	// rule depresses it with certainty (PDepEvent(+Inf) = 1).
-	p.OnPostSpike(0, 100, []float64{Never}, 1)
+	p.OnPostSpikeRange(0, 100, []float64{Never}, 1, 0, 1)
 	if m.At(0, 0) >= 0.5 {
 		t.Fatalf("never-fired pre not depressed: %v", m.At(0, 0))
 	}
@@ -283,7 +283,7 @@ func TestConductanceStaysInBounds(t *testing.T) {
 		for step := uint64(0); step < 3000; step++ {
 			now := 100 + float64(step)
 			lastPre[0], lastPre[1] = now-1, now-2
-			p.OnPostSpike(int(step)%4, now, lastPre, step)
+			p.OnPostSpikeRange(int(step)%4, now, lastPre, step, 0, len(lastPre))
 		}
 		for i, g := range m.Weights() {
 			if float64(g) < cfg.Det.GMin-1e-12 || float64(g) > cfg.GCeil()+1e-12 {
@@ -304,7 +304,7 @@ func TestQuantizedUpdatesStayOnGrid(t *testing.T) {
 			lastPre := []float64{99, 98, 50, Never}
 			for step := uint64(0); step < 500; step++ {
 				now := 100 + float64(step)
-				p.OnPostSpike(int(step)%4, now, lastPre, step)
+				p.OnPostSpikeRange(int(step)%4, now, lastPre, step, 0, len(lastPre))
 				lastPre[int(step)%4] = now
 			}
 			for i, g := range m.Weights() {
@@ -329,7 +329,7 @@ func TestLowBitFullStepSlamming(t *testing.T) {
 	for step := uint64(0); step < 300; step++ {
 		now := 100 + float64(step)
 		// pre 0 always recent (potentiation), pre 1 always stale (depression).
-		p.OnPostSpike(0, now, []float64{now - 1, 0}, step)
+		p.OnPostSpikeRange(0, now, []float64{now - 1, 0}, step, 0, 2)
 	}
 	if got := m.At(1, 0); got > 0.01 {
 		t.Errorf("stale synapse should collapse to Gmin, G = %v", got)
@@ -352,7 +352,7 @@ func TestStochasticRoundingPreservesDrift(t *testing.T) {
 		m.Fill(0.25)
 		for step := uint64(0); step < 50; step++ {
 			now := 100 + float64(step)
-			p.OnPostSpike(0, now, []float64{now - 1}, step+uint64(tr)*1000)
+			p.OnPostSpikeRange(0, now, []float64{now - 1}, step+uint64(tr)*1000, 0, 1)
 		}
 		sum += float64(m.At(0, 0))
 	}
@@ -372,7 +372,7 @@ func TestDeterministicReproducible(t *testing.T) {
 			lastPre[i] = float64(i * 13 % 7)
 		}
 		for step := uint64(0); step < 100; step++ {
-			p.OnPostSpike(int(step)%8, 100+float64(step), lastPre, step)
+			p.OnPostSpikeRange(int(step)%8, 100+float64(step), lastPre, step, 0, len(lastPre))
 		}
 		return m.Weights()
 	}
@@ -396,7 +396,7 @@ func TestStochasticReproducibleSameSeed(t *testing.T) {
 		}
 		for step := uint64(0); step < 200; step++ {
 			now := 100 + float64(step)
-			p.OnPostSpike(int(step)%8, now, lastPre, step)
+			p.OnPostSpikeRange(int(step)%8, now, lastPre, step, 0, len(lastPre))
 		}
 		return m.Weights()
 	}
@@ -418,6 +418,8 @@ func TestStochasticReproducibleSameSeed(t *testing.T) {
 	}
 }
 
+// TestOnPostSpikeRangeMatchesFull: a column update split into disjoint pre
+// ranges equals the whole-column update.
 func TestOnPostSpikeRangeMatchesFull(t *testing.T) {
 	mk := func() (*Plasticity, *Matrix) {
 		cfg := floatConfig(Stochastic)
@@ -433,7 +435,7 @@ func TestOnPostSpikeRangeMatchesFull(t *testing.T) {
 	for i := range lastPre {
 		lastPre[i] = 60 + float64(i*5)
 	}
-	p1.OnPostSpike(2, 100, lastPre, 33)
+	p1.OnPostSpikeRange(2, 100, lastPre, 33, 0, len(lastPre))
 	p2.OnPostSpikeRange(2, 100, lastPre, 33, 0, 7)
 	p2.OnPostSpikeRange(2, 100, lastPre, 33, 7, 16)
 	w1, w2 := m1.Weights(), m2.Weights()
@@ -447,13 +449,13 @@ func TestCounters(t *testing.T) {
 	cfg := floatConfig(Deterministic)
 	p, m := newPair(t, cfg, 3, 1)
 	m.Fill(0.5)
-	p.OnPostSpike(0, 100, []float64{99, 0, Never}, 1)
-	pot, dep, _, _ := p.Counters()
+	p.OnPostSpikeRange(0, 100, []float64{99, 0, Never}, 1, 0, 3)
+	pot, dep := p.Counters()
 	if pot != 1 || dep != 2 {
 		t.Fatalf("counters pot=%d dep=%d, want 1/2", pot, dep)
 	}
 	p.ResetCounters()
-	pot, dep, _, _ = p.Counters()
+	pot, dep = p.Counters()
 	if pot != 0 || dep != 0 {
 		t.Fatal("ResetCounters did not clear")
 	}
@@ -478,7 +480,7 @@ func TestUpdateBoundedProperty(t *testing.T) {
 		if recent {
 			last = 99.5
 		}
-		p.OnPostSpike(0, 100, []float64{last}, 7)
+		p.OnPostSpikeRange(0, 100, []float64{last}, 7, 0, 1)
 		g1 := float64(m.At(0, 0))
 		if !cfg.Format.OnGrid(g1) {
 			return false
@@ -501,7 +503,7 @@ func BenchmarkDeterministicPostSpike784(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.OnPostSpike(i%100, 100, lastPre, uint64(i))
+		p.OnPostSpikeRange(i%100, 100, lastPre, uint64(i), 0, len(lastPre))
 	}
 }
 
@@ -516,7 +518,7 @@ func BenchmarkStochasticPostSpike784(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.OnPostSpike(i%100, 100, lastPre, uint64(i))
+		p.OnPostSpikeRange(i%100, 100, lastPre, uint64(i), 0, len(lastPre))
 	}
 }
 
