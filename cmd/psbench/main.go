@@ -119,7 +119,6 @@ type benchDoc struct {
 	TrainImages    int              `json:"train_images"`
 	Workers        int              `json:"workers"`
 	Plasticity     string           `json:"plasticity"`
-	Batch          int              `json:"batch"`
 	Experiments    []expResult      `json:"experiments"`
 	BucketBoundsNs []int64          `json:"bucket_bounds_ns"`
 	ProbeMetrics   obs.Snapshot     `json:"probe_metrics"`
@@ -141,7 +140,6 @@ func main() {
 		metrics    = flag.String("metrics", "", "dump probe metrics to this file, or - for stdout (Prometheus text; *.json for JSON)")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 		plasticity = flag.String("plasticity", "dense", "STDP scheduling for the training probe: dense | lazy; lazy also runs the dense-vs-lazy throughput comparison at 784×1000")
-		batch      = flag.Int("batch", 0, "prefetch this many spike-train plans concurrently in the training probe (0/1 = off)")
 		format     = flag.String("format", "q1.7", "Qm.n format for the scalar-vs-SWAR kernel probe: q0.2 | q0.4 | q1.7 | q1.15 | float32 (float32 skips the probe)")
 	)
 	flag.Parse()
@@ -154,10 +152,6 @@ func main() {
 	probeFormat, err := fixed.ParseFormat(*format)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psbench:", err)
-		os.Exit(1)
-	}
-	if *batch < 0 {
-		fmt.Fprintf(os.Stderr, "psbench: negative -batch %d\n", *batch)
 		os.Exit(1)
 	}
 
@@ -544,7 +538,6 @@ func main() {
 		Classes:    ds.NumClasses,
 		Observer:   reg,
 		Plasticity: plastMode,
-		Batch:      *batch,
 		Seed:       11,
 	})
 	if err != nil {
@@ -614,7 +607,6 @@ func main() {
 			TrainImages:    scale.TrainImages,
 			Workers:        scale.Workers,
 			Plasticity:     plastMode.String(),
-			Batch:          *batch,
 			Experiments:    benchRows,
 			BucketBoundsNs: obs.BucketBoundsNs,
 			ProbeMetrics:   snap,

@@ -217,9 +217,8 @@ type Trainer struct {
 
 // New builds a trainer for cfg.Name on a private network built from netCfg.
 // base, when non-nil, seeds the weights (and, if it carries a trainer
-// section, the full training progress — the crash/restart path). lopts.Batch
-// is forced to 0: plan prefetch assumes a fixed band, and the band is a
-// runtime knob here. The trainer is idle until Start.
+// section, the full training progress — the crash/restart path). The
+// trainer is idle until Start.
 func New(cfg Config, netCfg network.Config, lopts learn.Options, base *netio.Snapshot, models *registry.Registry, opts ...Option) (*Trainer, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -246,7 +245,6 @@ func New(cfg Config, netCfg network.Config, lopts learn.Options, base *netio.Sna
 			return nil, fmt.Errorf("continual: restoring base weights: %w", err)
 		}
 	}
-	lopts.Batch = 0
 	lt, err := learn.New(net, lopts)
 	if err != nil {
 		return nil, fmt.Errorf("continual: building trainer: %w", err)

@@ -36,7 +36,6 @@ func Replay(base *netio.Snapshot, netCfg network.Config, lopts learn.Options, lo
 	if err := base.Restore(net); err != nil {
 		return nil, fmt.Errorf("continual: replay base weights: %w", err)
 	}
-	lopts.Batch = 0 // mirror the live trainer: plans assume a fixed band
 	lt, err := learn.New(net, lopts)
 	if err != nil {
 		return nil, fmt.Errorf("continual: replay trainer: %w", err)

@@ -56,11 +56,6 @@ type Options struct {
 	// workloads; DESIGN.md §11).
 	Plasticity network.PlasticityMode
 
-	// Batch (> 1) prefetches the spike-train plans of that many upcoming
-	// training images concurrently over the worker pool. Bit-identical to
-	// unbatched training; see learn.Options.Batch.
-	Batch int
-
 	// Classes is the label arity (0 = 10, the MNIST family).
 	Classes int
 
@@ -128,7 +123,6 @@ func New(o Options) (*Simulator, error) {
 	}
 
 	opts.NumClasses = o.Classes
-	opts.Batch = o.Batch
 	tr, err := learn.New(net, opts)
 	if err != nil {
 		exec.Close()

@@ -144,19 +144,6 @@ func PlanFromEvents(startStep uint64, band Band, kind TrainKind, dt float64, num
 	return p, nil
 }
 
-// Matches reports whether the plan was built for a presentation starting at
-// global step startStep under the given band, train kind, step width and
-// step count. A mismatch means the prediction the plan was built on (e.g.
-// the value of the step counter, shifted by an adaptive boost) no longer
-// holds and the spikes must be regenerated inline.
-func (p *Plan) Matches(startStep uint64, band Band, kind TrainKind, dt float64, steps int) bool {
-	return p.startStep == startStep &&
-		p.band == band &&
-		p.kind == kind &&
-		p.dt == dt &&
-		len(p.offsets) == steps+1
-}
-
 // StartStep returns the global step the plan was built for.
 func (p *Plan) StartStep() uint64 { return p.startStep }
 

@@ -4,8 +4,7 @@
 //
 // The executor carries the simulator's per-presentation and per-image
 // fan-out, where each chunk holds milliseconds of work: the lazy
-// end-of-presentation row flush, learn.Trainer's batch plan prefetch,
-// infer.PredictBatch and shadow evaluation. (The Fig 4 CARLsim-style
+// end-of-presentation row flush, infer.PredictBatch and shadow evaluation. (The Fig 4 CARLsim-style
 // mirror still splits each of its steps, so its pooled row measures that
 // dispatch cost.) These are "for each element in [0, n)" kernels over
 // disjoint state, the shape the paper launches as GPU thread grids;

@@ -159,22 +159,6 @@ func InferAssignments(n int) []int {
 // and digests the trace. The dense sequential reference is Run(c) with no
 // options.
 func Run(c Case, opts ...network.Option) (*Result, error) {
-	return run(c, 0, opts)
-}
-
-// RunBatched replays a case through the batched-prefetch presentation
-// schedule of learn.Trainer's -batch mode: the spike plans for each group
-// of batch images are built ahead of the presentations that consume them
-// (image i planned at start step i·StepsPerImage) and every presentation
-// replays its prefetched plan. The digests must match Run bit for bit.
-func RunBatched(c Case, batch int, opts ...network.Option) (*Result, error) {
-	if batch < 1 {
-		return nil, fmt.Errorf("golden: batch %d < 1", batch)
-	}
-	return run(c, batch, opts)
-}
-
-func run(c Case, batch int, opts []network.Option) (*Result, error) {
 	cfg, ctl, err := CaseConfig(c)
 	if err != nil {
 		return nil, err
@@ -203,24 +187,9 @@ func run(c Case, batch int, opts []network.Option) (*Result, error) {
 			spikeCRC.Write(buf[:])
 		}
 	}
-	var plans []*encode.Plan
 	for i := 0; i < data.Len(); i++ {
-		var plan *encode.Plan
-		if batch > 0 {
-			if i%batch == 0 {
-				plans = plans[:0]
-				for j := i; j < i+batch && j < data.Len(); j++ {
-					p, err := net.PlanPresentation(data.Images[j], ctl, uint64(j*tr.StepsPerImage))
-					if err != nil {
-						return nil, fmt.Errorf("golden: case %s planning image %d: %w", c.Name, j, err)
-					}
-					plans = append(plans, p)
-				}
-			}
-			plan = plans[i%batch]
-		}
 		rec := &network.Recorder{}
-		res, err := net.PresentPlan(data.Images[i], ctl, true, rec, plan)
+		res, err := net.Present(data.Images[i], ctl, true, rec)
 		if err != nil {
 			return nil, fmt.Errorf("golden: case %s image %d: %w", c.Name, i, err)
 		}

@@ -132,46 +132,6 @@ func TestLazyMatchesGolden(t *testing.T) {
 	}
 }
 
-func TestBatchedMatchesGolden(t *testing.T) {
-	// The batched-prefetch schedule — sparse spike plans built ahead of the
-	// presentations that replay them — reproduces the sequential inline
-	// digests across the full grid. Batch 3 over 4 images exercises both a
-	// full prefetch group and a short tail group.
-	for _, c := range Cases() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			res, err := RunBatched(c, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertTrace(t, res.Trace, committed(t, c))
-		})
-	}
-}
-
-func TestBatchedPooledLazyMatchesGolden(t *testing.T) {
-	// All three execution axes at once: prefetched plans replayed through
-	// the lazy engine on a worker pool still reproduce the sequential dense
-	// digests. One representative cell per rule.
-	pool := engine.New(4)
-	defer pool.Close()
-	for _, c := range Cases() {
-		if c.Preset != synapse.Preset8Bit || c.Rounding != fixed.Stochastic {
-			continue
-		}
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			res, err := RunBatched(c, 2,
-				network.WithExecutor(pool),
-				network.WithPlasticity(network.LazyPlasticity))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertTrace(t, res.Trace, committed(t, c))
-		})
-	}
-}
-
 func TestPooledInferMatchesGolden(t *testing.T) {
 	// Frozen-weight inference fanned out over a worker pool reproduces the
 	// sequentially recorded inference digests: scratch-state reuse across

@@ -8,21 +8,17 @@
 // therefore takes one immutable copy of the trained state (conductances,
 // homeostatic thresholds, label assignments — typically loaded from a PSS2
 // snapshot via netio.LoadInferenceFile) and keeps all per-presentation state
-// in a sync.Pool of scratch buffers, so Forward is safe to call from any
+// in a sync.Pool of step cores, so Forward is safe to call from any
 // number of goroutines and allocation-free once the pool is warm.
 //
 // Bit-identity with the trainer's evaluation path is structural: Forward
-// runs the training path's own step loop, network.Core, with no learning
-// hook. Around that one loop the engine reproduces the rest:
-//
-//   - input spikes draw from the same counter-based stream — the source seed
-//     is rng.Hash64(cfg.Seed, 0x50c) and the presentation counter is the
-//     caller-supplied start step, exactly as network.PresentPlan computes
-//     them — so a Forward at start step S replays the spikes Present would
-//     have generated with its global step counter at S;
-//   - absolute simulation time never enters the output: every timer
-//     (refractory, inhibition) is relative to the presentation start, so
-//     the bare core runs its clock from zero regardless of start step.
+// encodes and steps through the training path's own network.Core with no
+// learning hook. The core derives the input-stream seed and keys the spikes
+// by the start step it is given, so a Forward at start step S replays the
+// spikes Present would have generated with its global step counter at S.
+// Absolute simulation time never enters the output: every timer
+// (refractory, inhibition) is relative to the presentation start, so the
+// bare core runs its clock from zero regardless of start step.
 //
 // The differential wall in infer_test.go and the golden inference digests in
 // internal/golden pin this equivalence across every preset, quantization
@@ -42,7 +38,6 @@ import (
 	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/neuron"
 	"parallelspikesim/internal/obs"
-	"parallelspikesim/internal/rng"
 	"parallelspikesim/internal/synapse"
 )
 
@@ -93,21 +88,12 @@ type Engine struct {
 	nClass int
 	steps  int // simulation steps per presentation
 
-	exec    engine.Executor
-	scratch sync.Pool // *scratch
+	exec  engine.Executor
+	cores sync.Pool // *network.Core, one per concurrent Forward
 
 	obsForward  *obs.Timer
 	obsRequests *obs.Counter
 	obsImages   *obs.Counter
-}
-
-// scratch is the per-presentation mutable state. One instance serves one
-// Forward call at a time; the pool recycles them across calls and
-// goroutines.
-type scratch struct {
-	core *network.Core  // step core over a private population and e.syn
-	src  *encode.Source // created on first use, then Rebind per image
-	plan *encode.Plan   // sparse spike schedule, rebuilt in place per image
 }
 
 // New builds an inference engine over a copy of the frozen state in p.
@@ -131,9 +117,9 @@ func New(p Params, opts ...Option) (*Engine, error) {
 	if err := view.ValidateInference(p.NumClasses); err != nil {
 		return nil, err
 	}
-	steps := int(p.Control.TLearnMS / p.Net.DTms)
-	if steps <= 0 {
-		return nil, fmt.Errorf("infer: presentation %v ms at dt %v ms yields no steps", p.Control.TLearnMS, p.Net.DTms)
+	steps, err := network.PresentationSteps(p.Control, p.Net.DTms)
+	if err != nil {
+		return nil, err
 	}
 	mat, err := synapse.NewMatrix(p.Net.NumInputs, p.Net.NumNeurons, p.Net.Syn.Format)
 	if err != nil {
@@ -170,7 +156,7 @@ func New(p Params, opts ...Option) (*Engine, error) {
 		obsRequests: bo.reg.Counter("infer_requests_total"),
 		obsImages:   bo.reg.Counter("infer_images_total"),
 	}
-	e.scratch.New = func() any { return e.newScratch() }
+	e.cores.New = func() any { return e.newCore() }
 	return e, nil
 }
 
@@ -208,7 +194,10 @@ func (e *Engine) NumClasses() int { return e.nClass }
 // stride ClassifyBatch advances the start step by between images.
 func (e *Engine) StepsPerImage() int { return e.steps }
 
-func (e *Engine) newScratch() *scratch {
+// newCore builds the per-presentation mutable state: a step core over a
+// private population and the frozen matrix. One core serves one Forward
+// call at a time; the pool recycles them across calls and goroutines.
+func (e *Engine) newCore() *network.Core {
 	// Population construction cannot fail here: cfg was validated in New.
 	pop, err := neuron.NewPopulation(e.cfg.NumNeurons, e.cfg.LIF)
 	if err != nil {
@@ -219,7 +208,7 @@ func (e *Engine) newScratch() *scratch {
 	// copy at scratch birth holds for every presentation it serves.
 	pop.FreezeTheta = true
 	copy(pop.Theta(), e.theta)
-	return &scratch{core: network.NewCore(e.cfg, pop, e.syn)}
+	return network.NewCore(e.cfg, pop, e.syn)
 }
 
 // Forward presents one image to the frozen network and returns the spike
@@ -230,32 +219,21 @@ func (e *Engine) Forward(img []uint8, startStep uint64) (network.PresentResult, 
 		return network.PresentResult{}, fmt.Errorf("infer: image has %d pixels, model expects %d", len(img), e.cfg.NumInputs)
 	}
 	t := e.obsForward.Start()
-	s := e.scratch.Get().(*scratch)
-	res, err := e.forward(s, img, startStep)
-	e.scratch.Put(s)
+	core := e.cores.Get().(*network.Core)
+	res, err := e.forward(core, img, startStep)
+	e.cores.Put(core)
 	e.obsForward.Stop(t)
 	e.obsImages.Inc()
 	return res, err
 }
 
-func (e *Engine) forward(s *scratch, img []uint8, startStep uint64) (network.PresentResult, error) {
-	if s.src == nil {
-		src, err := encode.NewSource(img, e.ctl.Band, e.cfg.TrainKind, rng.Hash64(e.cfg.Seed, 0x50c), startStep)
-		if err != nil {
-			return network.PresentResult{}, err
-		}
-		s.src = src
-	} else if err := s.src.Rebind(img, e.ctl.Band, startStep); err != nil {
+func (e *Engine) forward(core *network.Core, img []uint8, startStep uint64) (network.PresentResult, error) {
+	if _, err := core.Encode(img, e.ctl, startStep); err != nil {
 		return network.PresentResult{}, err
 	}
-	// Materialize the presentation's sparse event schedule up front (the
-	// builder prepares the source's thresholds itself). Identical spikes to
-	// stepping the source densely — see the encode differential wall — at a
-	// fraction of the hash work, into recycled plan storage.
-	s.plan = s.src.BuildPlanInto(s.plan, startStep, e.cfg.DTms, e.steps, e.ctl.Band)
-	pop := s.core.Pop
+	pop := core.Pop
 	pop.ClearSpikeCounts()
-	res := network.PresentResult{Steps: e.steps, InputSpikes: s.core.Run(s.plan)}
+	res := network.PresentResult{Steps: e.steps, InputSpikes: core.Run()}
 	res.SpikeCounts = make([]int, e.cfg.NumNeurons)
 	for i, c := range pop.SpikeCounts() {
 		res.SpikeCounts[i] = int(c)

@@ -1,10 +1,10 @@
 package infer
 
-// In-package AllocsPerRun gate for the inference hot loop: the
-// //psslint:noalloc step core (network.Core) driven through a pooled
-// scratch. Forward itself allocates exactly its result's SpikeCounts slice;
-// the plan rebuild and the core's step loop must be allocation-free once
-// the scratch has served one presentation.
+// In-package AllocsPerRun gate for the inference hot loop: a pooled
+// network.Core's encode plus its //psslint:noalloc step loop. Forward
+// itself allocates exactly its result's SpikeCounts slice; the encode and
+// the step loop must be allocation-free once the core has served one
+// presentation.
 
 import (
 	"testing"
@@ -47,27 +47,26 @@ func TestNoAllocRun(t *testing.T) {
 		img[i] = uint8(i * 16)
 	}
 	// One full presentation binds the source and warms every append
-	// capacity in the scratch; holding the scratch across the measurement
-	// keeps the pool out of the picture.
-	s := e.scratch.Get().(*scratch)
-	defer e.scratch.Put(s)
-	if _, err := e.forward(s, img, 0); err != nil {
+	// capacity in the core; holding the core across the measurement keeps
+	// the pool out of the picture.
+	core := e.cores.Get().(*network.Core)
+	defer e.cores.Put(core)
+	if _, err := e.forward(core, img, 0); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
 	avg := testing.AllocsPerRun(20, func() {
-		// forward's per-presentation setup, minus the result allocation.
-		// The sparse plan rebuild recycles the scratch plan's storage, so
-		// the whole presentation — build included — must stay off the heap.
-		if err := s.src.Rebind(img, e.ctl.Band, 0); err != nil {
+		// forward's per-presentation work, minus the result allocation.
+		// Encode recycles the core's source and plan storage, so the whole
+		// presentation — build included — must stay off the heap.
+		if _, err := core.Encode(img, e.ctl, 0); err != nil {
 			t.Error(err)
 			return
 		}
-		s.plan = s.src.BuildPlanInto(s.plan, 0, e.cfg.DTms, e.steps, e.ctl.Band)
-		s.core.Pop.ClearSpikeCounts()
-		total += s.core.Run(s.plan)
+		core.Pop.ClearSpikeCounts()
+		total += core.Run()
 	})
 	if avg != 0 {
-		t.Errorf("core run+rebuild allocates %.1f per presentation, want 0 (input spikes seen: %d)", avg, total)
+		t.Errorf("core encode+run allocates %.1f per presentation, want 0 (input spikes seen: %d)", avg, total)
 	}
 }

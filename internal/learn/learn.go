@@ -53,16 +53,6 @@ type Options struct {
 	// MovingWindow is the window (in images) of the training-time moving
 	// error rate (Fig 8c).
 	MovingWindow int
-
-	// Batch (> 1) prefetches the spike-train plans of that many upcoming
-	// training images concurrently over the network's executor. Learning
-	// itself stays sequential over the shared conductance matrix, so a
-	// batched run is bit-identical to an unbatched one; only the encoding
-	// work moves off the presentation path. Plans are built against
-	// predicted step counters, so an adaptive boost (which consumes extra
-	// steps) invalidates the remaining batch — those images silently fall
-	// back to inline generation. 0 or 1 disables batching.
-	Batch int
 }
 
 // DefaultOptions returns the baseline operating point.
@@ -98,9 +88,6 @@ func (o Options) Validate() error {
 	if o.MovingWindow <= 0 {
 		return fmt.Errorf("learn: MovingWindow %d", o.MovingWindow)
 	}
-	if o.Batch < 0 {
-		return fmt.Errorf("learn: negative Batch %d", o.Batch)
-	}
 	return nil
 }
 
@@ -121,24 +108,10 @@ type Trainer struct {
 	obsBoosts  *obs.Counter // boost re-presentations
 	obsCkptN   *obs.Counter // checkpoints flushed
 
-	// Batched presentation: a window of prefetched spike-train plans for
-	// upcoming training images. batchBase is the dataset index of
-	// batchPlans[0]; consumed or invalidated entries are nil. planFree
-	// recycles the storage of consumed plans back into the next refill
-	// (network.PlanPresentationInto), so steady-state prefetch rebuilds
-	// in place instead of allocating a fresh CSR + bitset per image.
-	batchPlans []*encode.Plan
-	batchBase  int
-	planFree   []*encode.Plan
-	obsPlanHit *obs.Counter // presentations served from a prefetched plan
-
 	// ImagesSeen counts training presentations (excluding boost repeats).
 	ImagesSeen int
 	// BoostCount counts boost re-presentations performed.
 	BoostCount int
-	// PlanHits counts training presentations that consumed a prefetched
-	// spike-train plan (always 0 when Options.Batch <= 1).
-	PlanHits int
 
 	// Checkpoint, when non-nil, is called by Train at image boundaries:
 	// after every CheckpointEvery images, and once more before Train
@@ -185,30 +158,16 @@ func New(net *network.Network, opts Options) (*Trainer, error) {
 		obsImages:  reg.Counter("learn_images_total"),
 		obsBoosts:  reg.Counter("learn_boosts_total"),
 		obsCkptN:   reg.Counter("learn_checkpoints_total"),
-		obsPlanHit: reg.Counter("learn_plan_hits_total"),
 	}, nil
 }
 
-// NewTrainer binds a network to pipeline options with a positional label
-// arity.
-//
-// Deprecated: use New with Options.NumClasses set instead.
-func NewTrainer(net *network.Network, opts Options, numClasses int) (*Trainer, error) {
-	if numClasses <= 0 {
-		return nil, fmt.Errorf("learn: numClasses %d", numClasses)
-	}
-	opts.NumClasses = numClasses
-	return New(net, opts)
-}
-
-// present shows one image with adaptive boost, optionally replaying a
-// prefetched spike-train plan for the first (unboosted) presentation. The
-// learn_present_ns timer covers the whole presentation including boost
-// re-presentations, so its histogram is the per-image serving latency.
-func (t *Trainer) present(img []uint8, learning bool, plan *encode.Plan) (network.PresentResult, error) {
+// present shows one image with adaptive boost. The learn_present_ns timer
+// covers the whole presentation including boost re-presentations, so its
+// histogram is the per-image serving latency.
+func (t *Trainer) present(img []uint8, learning bool) (network.PresentResult, error) {
 	start := t.obsPresent.Start()
 	defer t.obsPresent.Stop(start)
-	res, err := t.Net.PresentPlan(img, t.Opts.Control, learning, nil, plan)
+	res, err := t.Net.Present(img, t.Opts.Control, learning, nil)
 	if err != nil {
 		return res, err
 	}
@@ -232,15 +191,10 @@ func (t *Trainer) present(img []uint8, learning bool, plan *encode.Plan) (networ
 // updates the moving error rate: the image is "predicted" with the current
 // provisional neuron assignments before its own response is added.
 func (t *Trainer) TrainImage(img []uint8, label uint8) (network.PresentResult, error) {
-	return t.trainImage(img, label, nil)
-}
-
-func (t *Trainer) trainImage(img []uint8, label uint8, plan *encode.Plan) (network.PresentResult, error) {
 	if int(label) >= t.numClasses {
 		return network.PresentResult{}, fmt.Errorf("learn: label %d out of range", label)
 	}
-	res, err := t.present(img, true, plan)
-	t.recyclePlan(plan) // consumed (or unused): its storage can back the next refill
+	res, err := t.present(img, true)
 	if err != nil {
 		return res, err
 	}
@@ -263,9 +217,8 @@ func (t *Trainer) trainImage(img []uint8, label uint8, plan *encode.Plan) (netwo
 // flushes a final checkpoint and returns ErrInterrupted.
 func (t *Trainer) Train(ds *dataset.Dataset, progress func(i int, movingError float64)) error {
 	lastCkptImages := t.ImagesSeen // consumed only under -tags simcheck
-	t.batchPlans = nil             // never reuse plans across Train calls
 	for i := t.ImagesSeen; i < ds.Len(); i++ {
-		if _, err := t.trainImage(ds.Images[i], ds.Labels[i], t.takePlan(ds, i)); err != nil {
+		if _, err := t.TrainImage(ds.Images[i], ds.Labels[i]); err != nil {
 			return fmt.Errorf("learn: training image %d: %w", i, err)
 		}
 		if progress != nil {
@@ -292,94 +245,6 @@ func (t *Trainer) Train(ds *dataset.Dataset, progress func(i int, movingError fl
 		if stop {
 			return ErrInterrupted
 		}
-	}
-	return nil
-}
-
-// takePlan returns the prefetched spike-train plan for training image i,
-// refilling the batch window from the data set when it is exhausted. Plans
-// are speculative: each is built against the step counter the presentation
-// is predicted to start at, assuming no boosts between now and then. The
-// moment a plan's prediction no longer matches the real clock — a boost
-// consumed extra steps — the remaining window is dropped and the loop falls
-// back to inline spike generation until the next refill, which re-predicts
-// from the now-correct clock. Either way every presentation is
-// bit-identical to an unbatched run.
-func (t *Trainer) takePlan(ds *dataset.Dataset, i int) *encode.Plan {
-	if t.Opts.Batch <= 1 {
-		return nil
-	}
-	if t.batchPlans == nil || i < t.batchBase || i >= t.batchBase+len(t.batchPlans) {
-		t.refillPlans(ds, i)
-	}
-	plan := t.batchPlans[i-t.batchBase]
-	t.batchPlans[i-t.batchBase] = nil
-	if plan == nil {
-		return nil
-	}
-	if plan.StartStep() != t.Net.Step() {
-		// The prediction drifted; every later plan in the window shares the
-		// stale clock, so drop them all rather than miss one by one. The
-		// popped plan's storage is still good for the next refill.
-		t.batchPlans = nil
-		t.recyclePlan(plan)
-		return nil
-	}
-	t.PlanHits++
-	t.obsPlanHit.Inc()
-	return plan
-}
-
-// refillPlans builds the spike-train plans for training images
-// [i, i+Batch) concurrently over the network's executor. Plan j is keyed to
-// the predicted start step i.e. the current clock plus j unboosted
-// presentations. Images whose plan construction fails get a nil entry and
-// present inline (Present reports the underlying error).
-func (t *Trainer) refillPlans(ds *dataset.Dataset, i int) {
-	b := t.Opts.Batch
-	if rest := ds.Len() - i; b > rest {
-		b = rest
-	}
-	t.batchPlans = make([]*encode.Plan, b)
-	t.batchBase = i
-	// Seed each slot with a recycled plan before the parallel dispatch: the
-	// free list is single-owner (Train's goroutine), so recycled storage
-	// must be claimed here, not inside the workers.
-	for j := 0; j < b; j++ {
-		t.batchPlans[j] = t.grabFreePlan()
-	}
-	stepsPer := uint64(t.Opts.Control.TLearnMS / t.Net.Cfg.DTms)
-	start := t.Net.Step()
-	t.Net.Executor().For(b, func(chunk, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			plan, err := t.Net.PlanPresentationInto(t.batchPlans[j], ds.Images[i+j], t.Opts.Control, start+uint64(j)*stepsPer)
-			if err == nil {
-				t.batchPlans[j] = plan
-			} else {
-				t.batchPlans[j] = nil
-			}
-		}
-	})
-}
-
-// recyclePlan returns a consumed plan's storage to the prefetch free list.
-// The list is bounded by the batch width: each refill claims at most Batch
-// plans, so anything beyond that would only pin dead memory.
-func (t *Trainer) recyclePlan(p *encode.Plan) {
-	if p == nil || t.Opts.Batch <= 1 || len(t.planFree) >= t.Opts.Batch {
-		return
-	}
-	t.planFree = append(t.planFree, p)
-}
-
-// grabFreePlan pops a recycled plan, or nil when the free list is empty
-// (PlanPresentationInto then allocates fresh storage).
-func (t *Trainer) grabFreePlan() *encode.Plan {
-	if n := len(t.planFree); n > 0 {
-		p := t.planFree[n-1]
-		t.planFree[n-1] = nil
-		t.planFree = t.planFree[:n-1]
-		return p
 	}
 	return nil
 }
@@ -545,7 +410,7 @@ func (t *Trainer) Label(ds *dataset.Dataset) (*Model, error) {
 		resp[i] = make([]int, t.numClasses)
 	}
 	for i := 0; i < ds.Len(); i++ {
-		res, err := t.present(ds.Images[i], false, nil)
+		res, err := t.present(ds.Images[i], false)
 		if err != nil {
 			return nil, fmt.Errorf("learn: labeling image %d: %w", i, err)
 		}
@@ -563,7 +428,7 @@ func (t *Trainer) Label(ds *dataset.Dataset) (*Model, error) {
 // Infer classifies one image with a labeled model: spike counts vote for
 // their neuron's assigned class. Returns -1 when no assigned neuron spiked.
 func (t *Trainer) Infer(m *Model, img []uint8) (int, error) {
-	res, err := t.present(img, false, nil)
+	res, err := t.present(img, false)
 	if err != nil {
 		return -1, err
 	}

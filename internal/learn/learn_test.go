@@ -53,25 +53,30 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
-func TestNewTrainerValidation(t *testing.T) {
+func TestNewValidation(t *testing.T) {
 	net := testNet(t, synapse.Stochastic, 5, 1)
-	if _, err := NewTrainer(net, fastOptions(), 0); err == nil {
-		t.Error("zero classes accepted")
+	neg := fastOptions()
+	neg.NumClasses = -1
+	if _, err := New(net, neg); err == nil {
+		t.Error("negative classes accepted")
 	}
 	bad := fastOptions()
 	bad.MovingWindow = -1
-	if _, err := NewTrainer(net, bad, 10); err == nil {
+	if _, err := New(net, bad); err == nil {
 		t.Error("invalid options accepted")
 	}
-	tr, err := NewTrainer(net, fastOptions(), 10)
+	tr, err := New(net, fastOptions())
 	if err != nil || tr == nil {
 		t.Fatal(err)
+	}
+	if tr.numClasses != 10 {
+		t.Errorf("NumClasses 0 resolved to %d classes, want 10", tr.numClasses)
 	}
 }
 
 func TestTrainImageRejectsBadLabel(t *testing.T) {
 	net := testNet(t, synapse.Stochastic, 5, 1)
-	tr, _ := NewTrainer(net, fastOptions(), 10)
+	tr, _ := New(net, fastOptions())
 	if _, err := tr.TrainImage(make([]uint8, 784), 10); err == nil {
 		t.Fatal("out-of-range label accepted")
 	}
@@ -80,7 +85,7 @@ func TestTrainImageRejectsBadLabel(t *testing.T) {
 func TestTrainAccumulatesState(t *testing.T) {
 	data := dataset.SynthDigits(10, 7)
 	net := testNet(t, synapse.Stochastic, 10, 2)
-	tr, _ := NewTrainer(net, fastOptions(), 10)
+	tr, _ := New(net, fastOptions())
 	if err := tr.Train(data, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +103,7 @@ func TestTrainAccumulatesState(t *testing.T) {
 func TestProgressCallback(t *testing.T) {
 	data := dataset.SynthDigits(5, 7)
 	net := testNet(t, synapse.Stochastic, 5, 2)
-	tr, _ := NewTrainer(net, fastOptions(), 10)
+	tr, _ := New(net, fastOptions())
 	calls := 0
 	if err := tr.Train(data, func(i int, e float64) {
 		if i != calls {
@@ -119,7 +124,7 @@ func TestBoostTriggersOnSilentImages(t *testing.T) {
 	net := testNet(t, synapse.Stochastic, 5, 3)
 	opts := fastOptions()
 	opts.Control.Band = encode.Band{MinHz: 0.05, MaxHz: 1} // deliberately weak
-	tr, _ := NewTrainer(net, opts, 10)
+	tr, _ := New(net, opts)
 	dark := make([]uint8, 784)
 	for i := 200; i < 260; i++ {
 		dark[i] = 40
@@ -136,7 +141,7 @@ func TestEnterEvaluationModeZeroesTheta(t *testing.T) {
 	net := testNet(t, synapse.Stochastic, 5, 4)
 	th := net.Exc.Theta()
 	th[2] = 7
-	tr, _ := NewTrainer(net, fastOptions(), 10)
+	tr, _ := New(net, fastOptions())
 	tr.EnterEvaluationMode()
 	if th[2] != 0 {
 		t.Fatal("theta not zeroed")
@@ -149,7 +154,7 @@ func TestEnterEvaluationModeZeroesTheta(t *testing.T) {
 func TestLabelAssignsClasses(t *testing.T) {
 	data := dataset.SynthDigits(30, 9)
 	net := testNet(t, synapse.Stochastic, 10, 5)
-	tr, _ := NewTrainer(net, fastOptions(), 10)
+	tr, _ := New(net, fastOptions())
 	if err := tr.Train(data, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +182,7 @@ func TestLabelAssignsClasses(t *testing.T) {
 func TestInferReturnsValidClass(t *testing.T) {
 	data := dataset.SynthDigits(30, 9)
 	net := testNet(t, synapse.Stochastic, 10, 5)
-	tr, _ := NewTrainer(net, fastOptions(), 10)
+	tr, _ := New(net, fastOptions())
 	tr.Train(data, nil)
 	model, _ := tr.Label(dataset.SynthDigits(20, 10))
 	pred, err := tr.Infer(model, data.Images[0])
@@ -192,7 +197,7 @@ func TestInferReturnsValidClass(t *testing.T) {
 func TestEvaluateProducesConfusion(t *testing.T) {
 	data := dataset.SynthDigits(30, 9)
 	net := testNet(t, synapse.Stochastic, 10, 5)
-	tr, _ := NewTrainer(net, fastOptions(), 10)
+	tr, _ := New(net, fastOptions())
 	tr.Train(data, nil)
 	model, _ := tr.Label(dataset.SynthDigits(20, 10))
 	test := dataset.SynthDigits(20, 11)
@@ -292,9 +297,10 @@ func TestRunReportsWallClock(t *testing.T) {
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	ds := dataset.SynthDigits(30, 11)
 	opts := fastOptions()
+	opts.NumClasses = ds.NumClasses
 
 	full := testNet(t, synapse.Stochastic, 8, 5)
-	trFull, err := NewTrainer(full, opts, ds.NumClasses)
+	trFull, err := New(full, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +310,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 	// Interrupted run: capture state at image 13, "crash", resume.
 	crashed := testNet(t, synapse.Stochastic, 8, 5)
-	trA, err := NewTrainer(crashed, opts, ds.NumClasses)
+	trA, err := New(crashed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +322,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	thetaAtCkpt := append([]float64(nil), crashed.Exc.Theta()...)
 
 	resumed := testNet(t, synapse.Stochastic, 8, 5)
-	trB, err := NewTrainer(resumed, opts, ds.NumClasses)
+	trB, err := New(resumed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +370,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 func TestRestoreStateValidation(t *testing.T) {
 	net := testNet(t, synapse.Stochastic, 4, 9)
-	tr, err := NewTrainer(net, fastOptions(), 10)
+	tr, err := New(net, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +404,7 @@ func TestRestoreStateValidation(t *testing.T) {
 
 func TestCheckpointStateIsDeepCopy(t *testing.T) {
 	net := testNet(t, synapse.Stochastic, 4, 9)
-	tr, err := NewTrainer(net, fastOptions(), 10)
+	tr, err := New(net, fastOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +424,9 @@ func TestCheckpointStateIsDeepCopy(t *testing.T) {
 func TestTrainCheckpointHookAndInterrupt(t *testing.T) {
 	ds := dataset.SynthDigits(12, 3)
 	net := testNet(t, synapse.Stochastic, 4, 2)
-	tr, err := NewTrainer(net, fastOptions(), ds.NumClasses)
+	opts := fastOptions()
+	opts.NumClasses = ds.NumClasses
+	tr, err := New(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +464,9 @@ func TestTrainCheckpointHookAndInterrupt(t *testing.T) {
 func TestTrainPropagatesCheckpointError(t *testing.T) {
 	ds := dataset.SynthDigits(4, 3)
 	net := testNet(t, synapse.Stochastic, 4, 2)
-	tr, err := NewTrainer(net, fastOptions(), ds.NumClasses)
+	opts := fastOptions()
+	opts.NumClasses = ds.NumClasses
+	tr, err := New(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

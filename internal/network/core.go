@@ -1,21 +1,26 @@
 package network
 
 import (
+	"fmt"
 	"math"
 
 	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/neuron"
 	"parallelspikesim/internal/obs"
+	"parallelspikesim/internal/rng"
 	"parallelspikesim/internal/synapse"
 )
 
-// Core is the forward-step loop of one presentation — the kernel sequence
-// the paper's simulation environment runs per time step (Fig 2, §III) — and
-// the only place a presentation is stepped. Network.PresentPlan runs it with
-// a training hook; infer.Engine runs it bare over a frozen matrix, so
-// inference is bit-identical to an evaluation presentation by construction.
-// A Core is not safe for concurrent use: each presenting goroutine owns one.
+// Core is one presentation's kernel sequence as the paper's simulation
+// environment runs it (Fig 1(d), Fig 2, §III): Poisson input generation
+// from each pixel's rate, then the forward-step loop. It is the only place
+// a presented image becomes spikes and the only place a presentation is
+// stepped.
+// Network.Present runs it with a training hook; infer.Engine runs it bare
+// over a frozen matrix, so inference is bit-identical to an evaluation
+// presentation by construction. A Core is not safe for concurrent use: each
+// presenting goroutine owns one.
 type Core struct {
 	Pop *neuron.Population
 	syn *synapse.Matrix
@@ -23,12 +28,17 @@ type Core struct {
 	dt, amp, tInh float64
 	decay         float64 // per-step synaptic current decay; 0 = instantaneous
 
+	kind    encode.TrainKind
+	srcSeed uint64         // input-spike stream seed, derived from the network seed
+	src     *encode.Source // created on the first Encode, then rebound per image
+	plan    *encode.Plan   // the encoded presentation, rebuilt in place
+
 	current []float64 // per-neuron synaptic current trace
 	in      []int     // input-spike scratch, kept for its capacity
 	cand    []int     // threshold-crosser scratch, kept for its capacity
 
 	// Phase timers; nil (free no-ops) unless an observed network sets them.
-	obsEncode, obsIntegrate, obsInhibit *obs.Timer
+	obsBuild, obsEncode, obsIntegrate, obsInhibit *obs.Timer
 }
 
 // NewCore binds a population and a conductance matrix, both of cfg's
@@ -40,6 +50,8 @@ func NewCore(cfg Config, pop *neuron.Population, syn *synapse.Matrix) *Core {
 		dt:      cfg.DTms,
 		amp:     cfg.SpikeAmp,
 		tInh:    cfg.TInhMS,
+		kind:    cfg.TrainKind,
+		srcSeed: rng.Hash64(cfg.Seed, 0x50c),
 		current: make([]float64, cfg.NumNeurons),
 	}
 	if cfg.TauSynMS > 0 {
@@ -48,11 +60,50 @@ func NewCore(cfg Config, pop *neuron.Population, syn *synapse.Matrix) *Core {
 	return c
 }
 
-// Run steps one presentation of plan from reset membranes, a zero current
-// trace and a clock at 0 ms — every timer is relative to the presentation
-// start — and returns the number of input spikes delivered. The spikes
-// fired add to Pop's spike counters.
-func (c *Core) Run(plan *encode.Plan) int { return c.run(plan, nil) }
+// PresentationSteps returns the number of dt-wide steps a presentation
+// under ctl runs, rejecting one too short to run a single step.
+func PresentationSteps(ctl encode.Control, dt float64) (int, error) {
+	steps := int(ctl.TLearnMS / dt)
+	if steps <= 0 {
+		return 0, fmt.Errorf("network: presentation %v ms at dt %v ms yields no steps", ctl.TLearnMS, dt)
+	}
+	return steps, nil
+}
+
+// Encode turns img into the sparse spike plan of one presentation under
+// ctl, beginning when the global step counter reads startStep, and returns
+// its step count. The spikes are a pure function of (network seed,
+// startStep, image, band): a presentation's stream is keyed by its start
+// step, so successive presentations draw decorrelated trains, and a
+// presentation encoded at the same start step — training or inference —
+// replays the same spikes. The event-driven builder visits work
+// proportional to spikes, not steps × pixels (DESIGN.md §16), and the
+// source and plan storage are recycled, so a warm Encode does not allocate.
+func (c *Core) Encode(img []uint8, ctl encode.Control, startStep uint64) (int, error) {
+	steps, err := PresentationSteps(ctl, c.dt)
+	if err != nil {
+		return 0, err
+	}
+	t := c.obsBuild.Start()
+	defer c.obsBuild.Stop(t)
+	if c.src == nil {
+		src, err := encode.NewSource(img, ctl.Band, c.kind, c.srcSeed, startStep)
+		if err != nil {
+			return 0, err
+		}
+		c.src = src
+	} else if err := c.src.Rebind(img, ctl.Band, startStep); err != nil {
+		return 0, err
+	}
+	c.plan = c.src.BuildPlanInto(c.plan, startStep, c.dt, steps, ctl.Band)
+	return steps, nil
+}
+
+// Run steps the presentation last encoded from reset membranes, a zero
+// current trace and a clock at 0 ms — every timer is relative to the
+// presentation start — and returns the number of input spikes delivered.
+// The spikes fired add to Pop's spike counters.
+func (c *Core) Run() int { return c.run(nil) }
 
 // run is Run with an optional training hook (nil for inference). Each step:
 //
@@ -73,7 +124,8 @@ func (c *Core) Run(plan *encode.Plan) int { return c.run(plan, nil) }
 // capacities, run performs no heap allocation (TestNoAllocRun).
 //
 //psslint:noalloc
-func (c *Core) run(plan *encode.Plan, h *trainHook) int {
+func (c *Core) run(h *trainHook) int {
+	plan := c.plan
 	if check.Enabled {
 		// A malformed plan — hostile offsets, out-of-range pixels, a bitset
 		// out of sync with the CSR rows — must die here, not corrupt the

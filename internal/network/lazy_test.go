@@ -132,74 +132,6 @@ func TestParsePlasticityMode(t *testing.T) {
 	}
 }
 
-func TestPlanReplayMatchesInline(t *testing.T) {
-	// A presentation fed a precomputed spike plan is bit-identical to one
-	// generating spikes inline — the property learn.Trainer's batch-prefetch
-	// mode rests on.
-	data := dataset.SynthDigits(4, 2)
-	cfg := presetConfig(t, synapse.PresetFloat, synapse.Stochastic, 13)
-	inline, _ := New(cfg)
-	planned, _ := New(cfg, WithPlasticity(LazyPlasticity))
-	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 150}
-	for i, img := range data.Images {
-		plan, err := planned.PlanPresentation(img, ctl, planned.Step())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.Steps() != 150 {
-			t.Fatalf("plan covers %d steps", plan.Steps())
-		}
-		ri, err1 := inline.Present(img, ctl, true, nil)
-		rp, err2 := planned.PresentPlan(img, ctl, true, nil, plan)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if ri.InputSpikes != rp.InputSpikes || ri.InputSpikes != plan.Spikes() {
-			t.Fatalf("image %d: inline %d, planned %d, plan holds %d spikes",
-				i, ri.InputSpikes, rp.InputSpikes, plan.Spikes())
-		}
-		for n := range ri.SpikeCounts {
-			if ri.SpikeCounts[n] != rp.SpikeCounts[n] {
-				t.Fatalf("image %d neuron %d spikes differ under plan replay", i, n)
-			}
-		}
-	}
-	wi, wp := inline.Syn.Weights(), planned.Syn.Weights()
-	for i := range wi {
-		if wi[i] != wp[i] {
-			t.Fatalf("conductance %d diverged under plan replay", i)
-		}
-	}
-}
-
-func TestStalePlanFallsBack(t *testing.T) {
-	// A plan built for the wrong start step must be ignored, not misapplied:
-	// the presentation still matches a plan-free reference bit-for-bit.
-	img := testImage()
-	cfg := presetConfig(t, synapse.PresetFloat, synapse.Stochastic, 9)
-	ref, _ := New(cfg)
-	net, _ := New(cfg)
-	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 100}
-	stale, err := net.PlanPresentation(img, ctl, net.Step()+999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, _ := ref.Present(img, ctl, true, nil)
-	rn, err := net.PresentPlan(img, ctl, true, nil, stale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.InputSpikes != rn.InputSpikes {
-		t.Fatalf("stale plan changed the spike train: %d vs %d", rr.InputSpikes, rn.InputSpikes)
-	}
-	wr, wn := ref.Syn.Weights(), net.Syn.Weights()
-	for i := range wr {
-		if wr[i] != wn[i] {
-			t.Fatal("stale plan perturbed learning")
-		}
-	}
-}
-
 // reversedExecutor is an adversarial but contract-valid executor: it covers
 // [0, n) with the standard contiguous partition, but hands chunk slot c the
 // range of chunk k-1-c. Any code assuming "ascending chunk slots hold

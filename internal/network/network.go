@@ -6,26 +6,27 @@
 // second-layer partner suppresses every *other* first-layer neuron for
 // t_inh milliseconds.
 //
-// Every presentation steps through one loop, Core: replay the step's input
-// spikes from the presentation's sparse plan, integrate (decay the synaptic
-// current, accumulate the input spikes into it per eq. 3, step the LIF
-// layer per eqs. 1–2), then winner-take-all among the threshold crossers.
-// Training (PresentPlan) hooks into that loop, in an order that keeps STDP
+// Every presentation runs through one Core. It encodes the image into the
+// presentation's sparse spike plan — the one place the input-stream seed
+// and the start-step keying are derived — then steps one loop: replay the
+// step's input spikes from the plan, integrate (decay the synaptic current,
+// accumulate the input spikes into it per eq. 3, step the LIF layer per
+// eqs. 1–2), then winner-take-all among the threshold crossers. Training
+// (Present) hooks into that loop, in an order that keeps STDP
 // causality clean: in lazy mode the spiking rows are brought up to date
 // with the deferred post-spike updates before integrate reads them, then
 // the pre-spike times move, and each post spike applies the learning
 // rule to its synapse column — deterministic eqs. 4–5, or stochastic eq. 6
 // potentiation and eq. 7 depression (StochParams.PDepEvent) — at once in
 // dense mode or deferred to each row's next spike in lazy mode.
-// Frozen-weight inference (internal/infer) runs the same loop with no hook,
-// so the two cannot drift apart.
+// Frozen-weight inference (internal/infer) encodes and steps through the
+// same core with no hook, so the two cannot drift apart.
 //
 // Every step runs on the presenting goroutine: at the paper's operating
 // point a step is a few µs of work, less than a worker-pool handoff costs
-// (DESIGN.md §16.4). The engine.Executor carries only the per-presentation
-// fan-out — the lazy end-of-presentation row flush here, and the batch plan
-// prefetch of learn.Trainer — and with counter-based RNG a pooled executor
-// is bit-identical to sequential execution.
+// (DESIGN.md §16.4). The engine.Executor carries only the lazy
+// end-of-presentation row flush, and with counter-based RNG a pooled
+// executor is bit-identical to sequential execution.
 package network
 
 import (
@@ -161,21 +162,14 @@ type Network struct {
 	lazy *synapse.Queue // deferred-update queue; nil in dense mode
 
 	// Phase timers and event counters; all nil (no-op) without an observer.
-	obsEncodeBld *obs.Timer // per-presentation sparse plan construction
-	obsPlast     *obs.Timer
-	obsInputSp   *obs.Counter
-	obsExcSp     *obs.Counter
-	obsInhEv     *obs.Counter
-	obsSynUpd    *obs.Counter
+	obsPlast   *obs.Timer
+	obsInputSp *obs.Counter
+	obsExcSp   *obs.Counter
+	obsInhEv   *obs.Counter
+	obsSynUpd  *obs.Counter
 
-	core    *Core     // the forward-step loop over Exc and Syn
+	core    *Core     // encoder and forward-step loop over Exc and Syn
 	lastPre []float64 // last spike time per input train
-
-	// Inline (plan-less) presentations build their sparse spike schedule
-	// here, recycling the source's rate/threshold buffers and the plan's
-	// CSR/bitset storage across images — allocation-free once warm.
-	inlineSrc  *encode.Source
-	inlinePlan *encode.Plan
 
 	step uint64  // global step counter (keys RNG draws)
 	now  float64 // absolute simulation time, ms
@@ -197,12 +191,11 @@ type buildOptions struct {
 	plast PlasticityMode
 }
 
-// WithExecutor installs exec for the network's per-presentation fan-out:
-// the lazy-plasticity row flush at the end of each learning presentation,
-// and (through Executor) learn.Trainer's batch plan prefetch. Simulation
-// steps always run inline on the presenting goroutine. The caller retains
-// ownership (and Close responsibility) of the executor. The default is
-// sequential execution.
+// WithExecutor installs exec for the one per-presentation fan-out left:
+// the lazy-plasticity row flush at the end of each learning presentation.
+// Encoding and simulation steps always run inline on the presenting
+// goroutine. The caller retains ownership (and Close responsibility) of the
+// executor. The default is sequential execution.
 func WithExecutor(exec engine.Executor) Option {
 	return func(o *buildOptions) { o.exec = exec }
 }
@@ -274,12 +267,11 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		lastPre: make([]float64, cfg.NumInputs),
 
 		// All handles are nil (free no-ops) when bo.reg is nil.
-		obsEncodeBld: bo.reg.Timer("network_phase_encode_build_ns"),
-		obsPlast:     bo.reg.Timer("network_phase_plasticity_ns"),
-		obsInputSp:   bo.reg.Counter("network_input_spikes_total"),
-		obsExcSp:     bo.reg.Counter("network_exc_spikes_total"),
-		obsInhEv:     bo.reg.Counter("network_inh_events_total"),
-		obsSynUpd:    bo.reg.Counter("network_syn_updates_total"),
+		obsPlast:   bo.reg.Timer("network_phase_plasticity_ns"),
+		obsInputSp: bo.reg.Counter("network_input_spikes_total"),
+		obsExcSp:   bo.reg.Counter("network_exc_spikes_total"),
+		obsInhEv:   bo.reg.Counter("network_inh_events_total"),
+		obsSynUpd:  bo.reg.Counter("network_syn_updates_total"),
 	}
 	if bo.plast == LazyPlasticity {
 		q, err := synapse.NewQueue(plast, cfg.NumInputs)
@@ -288,7 +280,9 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		}
 		n.lazy = q
 	}
-	// The core's phase timers; per-step plan lookup, integrate and WTA.
+	// The core's phase timers: the per-presentation plan build, then the
+	// per-step plan lookup, integrate and WTA.
+	n.core.obsBuild = bo.reg.Timer("network_phase_encode_build_ns")
 	n.core.obsEncode = bo.reg.Timer("network_phase_encode_ns")
 	n.core.obsIntegrate = bo.reg.Timer("network_phase_integrate_ns")
 	n.core.obsInhibit = bo.reg.Timer("network_phase_inhibit_ns")
@@ -302,11 +296,6 @@ func (n *Network) Plasticity() PlasticityMode {
 	}
 	return DensePlasticity
 }
-
-// Executor returns the engine installed with WithExecutor. Downstream
-// components (learn.Trainer's batched spike-train prefetch) reuse it so one
-// worker pool serves the whole stack.
-func (n *Network) Executor() engine.Executor { return n.exec }
 
 // Observer returns the registry installed with WithObserver (nil when the
 // network is unobserved). Downstream components (learn.Trainer) register
@@ -369,70 +358,12 @@ func (r PresentResult) TotalSpikes() int {
 	return sum
 }
 
-// PlanPresentation synthesizes the full spike schedule of one presentation
-// ahead of time: the spikes image img would emit under ctl if presented
-// when the network's global step counter reads startStep. Plans are pure
-// functions of (seed, startStep, image, band), so they can be built
-// concurrently for several upcoming images (learn.Trainer's batch mode does
-// this over the engine pool) and consumed later by PresentPlan — which
-// falls back to inline generation, bit-identically, whenever a plan's
-// predicted start step turns out wrong (e.g. an adaptive boost shifted the
-// clock).
-func (n *Network) PlanPresentation(img []uint8, ctl encode.Control, startStep uint64) (*encode.Plan, error) {
-	return n.PlanPresentationInto(nil, img, ctl, startStep)
-}
-
-// PlanPresentationInto is PlanPresentation recycling the buffers of a
-// previously built (and no longer referenced) plan; nil allocates a fresh
-// one. learn.Trainer's batch prefetch keeps a free list of consumed plans
-// and rebuilds into them, so a steady-state batched run stops allocating
-// plan storage altogether.
-func (n *Network) PlanPresentationInto(p *encode.Plan, img []uint8, ctl encode.Control, startStep uint64) (*encode.Plan, error) {
-	if len(img) != n.Cfg.NumInputs {
-		return nil, fmt.Errorf("network: image has %d pixels, network expects %d", len(img), n.Cfg.NumInputs)
-	}
-	if err := ctl.Validate(); err != nil {
-		return nil, err
-	}
-	src, err := encode.NewSource(img, ctl.Band, n.Cfg.TrainKind, rng.Hash64(n.Cfg.Seed, 0x50c), startStep)
-	if err != nil {
-		return nil, err
-	}
-	return src.BuildPlanInto(p, startStep, n.Cfg.DTms, int(ctl.TLearnMS/n.Cfg.DTms), ctl.Band), nil
-}
-
-// buildInlinePlan materializes the sparse spike schedule for a plan-less
-// presentation into the network's recycled inline source and plan. The
-// source is rebound (not rebuilt) per image, so steady-state inline
-// presentations allocate nothing for encoding.
-func (n *Network) buildInlinePlan(img []uint8, ctl encode.Control, startStep uint64, steps int) (*encode.Plan, error) {
-	if n.inlineSrc == nil {
-		src, err := encode.NewSource(img, ctl.Band, n.Cfg.TrainKind, rng.Hash64(n.Cfg.Seed, 0x50c), startStep)
-		if err != nil {
-			return nil, err
-		}
-		n.inlineSrc = src
-	} else if err := n.inlineSrc.Rebind(img, ctl.Band, startStep); err != nil {
-		return nil, err
-	}
-	n.inlinePlan = n.inlineSrc.BuildPlanInto(n.inlinePlan, startStep, n.Cfg.DTms, steps, ctl.Band)
-	return n.inlinePlan, nil
-}
-
 // Present shows one image to the network for ctl.TLearnMS milliseconds.
 // When learn is true the STDP rule updates conductances. Membranes and
 // spike timers are reset at the start of the presentation; homeostatic
 // thresholds persist. A nil rec falls back to the recorder installed with
 // WithRecorder (if any).
 func (n *Network) Present(img []uint8, ctl encode.Control, learn bool, rec *Recorder) (PresentResult, error) {
-	return n.PresentPlan(img, ctl, learn, rec, nil)
-}
-
-// PresentPlan is Present with an optional precomputed spike schedule (see
-// PlanPresentation). A nil or stale plan — wrong start step, band, train
-// kind, step width or step count — is ignored and the spikes are generated
-// inline; either way the presentation is bit-identical.
-func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *Recorder, plan *encode.Plan) (PresentResult, error) {
 	if rec == nil {
 		rec = n.rec
 	}
@@ -442,25 +373,9 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 	if err := ctl.Validate(); err != nil {
 		return PresentResult{}, err
 	}
-	presentation := n.step // unique per presentation; decorrelates spike trains
-	steps := int(ctl.TLearnMS / n.Cfg.DTms)
-	if plan != nil && (!plan.Matches(presentation, ctl.Band, n.Cfg.TrainKind, n.Cfg.DTms, steps) ||
-		plan.NumTrains() != n.Cfg.NumInputs) {
-		plan = nil
-	}
-	if plan == nil {
-		// Inline fallback: build the sparse event schedule up front — the
-		// event-driven builder visits work proportional to spikes, not
-		// steps × pixels, so the build replaces the per-step dense scans
-		// this loop used to run (DESIGN.md §16). Source and plan storage
-		// are recycled across presentations.
-		tBld := n.obsEncodeBld.Start()
-		var err error
-		plan, err = n.buildInlinePlan(img, ctl, presentation, steps)
-		n.obsEncodeBld.Stop(tBld)
-		if err != nil {
-			return PresentResult{}, err
-		}
+	steps, err := n.core.Encode(img, ctl, n.step) // keyed by the start step
+	if err != nil {
+		return PresentResult{}, err
 	}
 
 	n.Exc.FreezeTheta = !learn // evaluation mode: homeostasis frozen
@@ -475,7 +390,7 @@ func (n *Network) PresentPlan(img []uint8, ctl encode.Control, learn bool, rec *
 	}
 
 	res := PresentResult{SpikeCounts: counts, Steps: steps}
-	res.InputSpikes = n.core.run(plan, &trainHook{n: n, rec: rec, learn: learn})
+	res.InputSpikes = n.core.run(&trainHook{n: n, rec: rec, learn: learn})
 	n.TotalInputSpikes += uint64(res.InputSpikes)
 	n.obsInputSp.Add(uint64(res.InputSpikes))
 

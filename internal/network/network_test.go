@@ -97,6 +97,11 @@ func TestPresentRejectsInvalidControl(t *testing.T) {
 	if _, err := net.Present(testImage(), bad, false, nil); err == nil {
 		t.Fatal("invalid control accepted")
 	}
+	// Shorter than one step: a presentation that would run zero steps.
+	short := encode.Control{Band: encode.BaselineBand(), TLearnMS: net.Cfg.DTms / 2}
+	if _, err := net.Present(testImage(), short, true, nil); err == nil {
+		t.Fatal("zero-step presentation accepted")
+	}
 }
 
 func TestPresentDrivesSpikes(t *testing.T) {
