@@ -6,7 +6,6 @@ import (
 
 	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/fixed"
-	"parallelspikesim/internal/rng"
 )
 
 // PostEvent is one deferred post-spike plasticity event: neuron Post fired
@@ -110,9 +109,9 @@ func (q *Queue) MaxPending() int {
 // FlushRow applies every pending event to row pre. lastPre is the last
 // spike time of input pre (Never if it has not spiked), which every pending
 // event observed — see the type comment for why that holds. The replay is
-// OnPostSpikeRange restricted to one pre and iterated over events, with the
-// diagnostic counters accumulated locally and published once, so a flush
-// costs two atomic adds instead of one per update.
+// OnPostSpikeRange restricted to one pre and iterated over events, through
+// the same stochRoll decision; the step varies per event, so each event
+// folds its own roll keys.
 //
 //psslint:noalloc
 func (q *Queue) FlushRow(pre int, lastPre float64) {
@@ -145,32 +144,19 @@ func (q *Queue) FlushRow(pre int, lastPre float64) {
 			}
 		}
 	case Stochastic:
-		stoch := p.Cfg.Stoch
-		seed := p.Cfg.Seed
 		for _, e := range evs {
-			dt := e.Now - lastPre
-			post := int(e.Post)
-			if pp := stoch.PPot(dt); pp > 0 {
-				if rng.Bernoulli(pp, seed, tagPotRoll, e.Step, uint64(pre), uint64(post)) {
-					p.applyPot(pre, post, e.Step)
-					pots++
-					continue
-				}
-			}
-			if pd := stoch.PDepEvent(dt, w); pd > 0 {
-				if rng.Bernoulli(pd, seed, tagDepRoll, e.Step, uint64(pre), uint64(post)) {
-					p.applyDep(pre, post, e.Step)
-					deps++
-				}
+			hPot, hDep := p.rollKeys(e.Step)
+			switch p.stochRoll(e.Now-lastPre, hPot, hDep, pre, int(e.Post)) {
+			case potUpdate:
+				p.applyPot(pre, int(e.Post), e.Step)
+				pots++
+			case depUpdate:
+				p.applyDep(pre, int(e.Post), e.Step)
+				deps++
 			}
 		}
 	}
-	if pots > 0 {
-		p.potApplied.Add(pots)
-	}
-	if deps > 0 {
-		p.depApplied.Add(deps)
-	}
+	p.count(pots, deps)
 }
 
 // flushRowDetPacked is the word-parallel deterministic replay: the SWAR

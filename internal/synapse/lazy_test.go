@@ -152,24 +152,35 @@ func TestQueueResetClears(t *testing.T) {
 }
 
 func TestApplyHelpersSkipCounters(t *testing.T) {
-	// applyPot/applyDep are the counter-free kernels the batch flush counts
-	// around; the thin potentiate/depress wrappers add exactly one count.
+	// applyPot/applyDep are the counter-free kernels both schedules count
+	// around: applied by hand they move the weights exactly as a counted
+	// OnPostSpikeRange does, and leave the counters alone.
 	cfg, _, _ := PresetConfig(PresetFloat, Deterministic)
-	m, _ := NewMatrix(2, 2, cfg.Format)
-	m.InitUniform(rng.NewStream(1), 0.3, 0.6)
-	p, err := NewPlasticity(cfg, m)
-	if err != nil {
-		t.Fatal(err)
+	mk := func() *Plasticity {
+		m, _ := NewMatrix(2, 2, cfg.Format)
+		m.InitUniform(rng.NewStream(1), 0.3, 0.6)
+		p, err := NewPlasticity(cfg, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	p.applyPot(0, 0, 1)
-	p.applyDep(1, 1, 1)
-	if pot, dep := p.Counters(); pot != 0 || dep != 0 {
+	byHand, counted := mk(), mk()
+	byHand.applyPot(0, 1, 2)
+	byHand.applyDep(1, 1, 2)
+	// Pre 0 fired inside the LTP window, pre 1 never: one LTP, one LTD.
+	counted.OnPostSpikeRange(1, 100, []float64{99, Never}, 2, 0, 2)
+	hw, cw := byHand.M.Weights(), counted.M.Weights()
+	for i := range hw {
+		if hw[i] != cw[i] {
+			t.Fatalf("synapse %d: by hand %v, OnPostSpikeRange %v", i, hw[i], cw[i])
+		}
+	}
+	if pot, dep := byHand.Counters(); pot != 0 || dep != 0 {
 		t.Fatalf("apply helpers counted: pot %d dep %d", pot, dep)
 	}
-	p.potentiate(0, 0, 2)
-	p.depress(1, 1, 2)
-	if pot, dep := p.Counters(); pot != 1 || dep != 1 {
-		t.Fatalf("wrappers counted pot %d dep %d, want 1/1", pot, dep)
+	if pot, dep := counted.Counters(); pot != 1 || dep != 1 {
+		t.Fatalf("OnPostSpikeRange counted pot %d dep %d, want 1/1", pot, dep)
 	}
 }
 

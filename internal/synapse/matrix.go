@@ -25,9 +25,8 @@ import (
 //
 // Reads go through At / RowCodes / ForEachRow / Column / Weights; writes go
 // through the quantizing Set or the on-grid SetWeight. No caller sees the
-// raw storage: the old exported G field and the mutable Row escape hatch are
-// gone (Row survives one release as a deprecated copying shim, flagged by
-// psslint), so layout changes cannot leak and every write provably lands on
+// raw storage: there is no exported backing slice and no mutable row
+// accessor, so layout changes cannot leak and every write provably lands on
 // the format grid.
 type Matrix struct {
 	NPre   int

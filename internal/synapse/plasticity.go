@@ -2,6 +2,7 @@ package synapse
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"parallelspikesim/internal/check"
@@ -18,12 +19,22 @@ const (
 	tagDepRound
 )
 
+// ageTabLen is the number of whole-millisecond ages whose stochastic-rule
+// probabilities NewPlasticity tables. At a whole-ms step the absolute clock
+// and every last-pre time are exact integers, so every age is too, and
+// last-pre times reset each presentation: 1024 ms covers both paper
+// presentation lengths (100 and 500 ms). Older or fractional ages evaluate
+// the closed form.
+const ageTabLen = 1024
+
 // Plasticity applies STDP updates to a conductance matrix according to a
 // Config. It owns no RNG state: every stochastic decision is a pure function
 // of (Config.Seed, event tag, step, pre, post), which makes updates safe to
 // apply from multiple goroutines as long as no two goroutines touch the same
 // post neuron (the engine partitions by post index).
 type Plasticity struct {
+	// Cfg is read-only after NewPlasticity: the fast-step codes, roll keys
+	// and age tables below are derived from it.
 	Cfg Config
 	M   *Matrix
 
@@ -42,8 +53,16 @@ type Plasticity struct {
 	ceilCode  uint32 // GCeil as a lane code (valid when fastStep)
 	floorCode uint32 // Det.GMin as a lane code (valid when fastStep)
 
-	// Event counters (diagnostics). Updated atomically: range updates for
-	// different posts run on different workers.
+	// Stochastic-rule state, fixed at NewPlasticity (see stochRoll and
+	// DESIGN.md §11). potKey/depKey are the roll hashes folded over (Seed,
+	// tag); potTab[k] = Stoch.PPot(k) and depTab[k] = Stoch.PDepEvent(k, W)
+	// for whole-ms ages k < ageTabLen. Nil tables under the deterministic
+	// rule.
+	potKey, depKey uint64
+	potTab, depTab []float64
+
+	// Event counters (diagnostics). Updated atomically, once per call:
+	// range updates for different posts run on different workers.
 	potApplied atomic.Uint64
 	depApplied atomic.Uint64
 }
@@ -69,6 +88,16 @@ func NewPlasticity(cfg Config, m *Matrix) (*Plasticity, error) {
 			p.floorCode = pk.CodeOf(fixed.Weight(cfg.Det.GMin))
 		}
 	}
+	if cfg.Kind == Stochastic {
+		p.potKey = rng.HashMix(rng.HashInit(cfg.Seed), tagPotRoll)
+		p.depKey = rng.HashMix(rng.HashInit(cfg.Seed), tagDepRoll)
+		p.potTab = make([]float64, ageTabLen)
+		p.depTab = make([]float64, ageTabLen)
+		for k := range p.potTab {
+			p.potTab[k] = cfg.Stoch.PPot(float64(k))
+			p.depTab[k] = cfg.Stoch.PDepEvent(float64(k), cfg.Det.WindowMS)
+		}
+	}
 	return p, nil
 }
 
@@ -83,11 +112,22 @@ func (p *Plasticity) ResetCounters() {
 	p.depApplied.Store(0)
 }
 
+// count publishes a batch's locally accumulated update counts: at most two
+// atomic adds per call instead of one per update.
+func (p *Plasticity) count(pots, deps uint64) {
+	if pots > 0 {
+		p.potApplied.Add(pots)
+	}
+	if deps > 0 {
+		p.depApplied.Add(deps)
+	}
+}
+
 // applyPot performs the arithmetic of one LTP step to synapse (pre, post)
 // through the saturating update helper, which quantizes with the configured
 // rounding option (the fixedrange analyzer forbids raw arithmetic on the
-// Weight). It does not touch the diagnostic counters, so batch callers (the
-// lazy flush) can count locally and publish once per batch.
+// Weight). It does not touch the diagnostic counters: callers count locally
+// and publish once per batch.
 //
 //psslint:noalloc
 func (p *Plasticity) applyPot(pre, post int, step uint64) {
@@ -112,12 +152,6 @@ func (p *Plasticity) applyPot(pre, post int, step uint64) {
 	}
 }
 
-// potentiate applies one LTP step and counts it.
-func (p *Plasticity) potentiate(pre, post int, step uint64) {
-	p.applyPot(pre, post, step)
-	p.potApplied.Add(1)
-}
-
 // applyDep performs the arithmetic of one LTD step to synapse (pre, post)
 // through the saturating update helper, without counter bookkeeping.
 //
@@ -140,10 +174,93 @@ func (p *Plasticity) applyDep(pre, post int, step uint64) {
 	}
 }
 
-// depress applies one LTD step and counts it.
-func (p *Plasticity) depress(pre, post int, step uint64) {
-	p.applyDep(pre, post, step)
-	p.depApplied.Add(1)
+// outcome is the result of one synapse's stochastic rolls.
+type outcome uint8
+
+const (
+	noUpdate outcome = iota
+	potUpdate
+	depUpdate
+)
+
+// rollKeys folds the event step into the (Seed, tag) roll keys, giving the
+// hash states shared by every synapse a post spike at step rolls.
+func (p *Plasticity) rollKeys(step uint64) (hPot, hDep uint64) {
+	return rng.HashMix(p.potKey, step), rng.HashMix(p.depKey, step)
+}
+
+// stochRoll is the stochastic rule's decision for synapse (pre, post) whose
+// pre last fired age ms before the post spike: LTP with probability
+// P_pot(age) (eq. 6); failing that, LTD with probability
+// P_dep = PDepEvent(age, W) (eq. 7). hPot/hDep are rollKeys of the event's
+// step. Both schedules — the dense OnPostSpikeRange and the lazy
+// Queue.FlushRow — decide through this one function.
+//
+// It returns exactly what rng.Bernoulli(P, Seed, tag, step, pre, post)
+// returns against the closed-form P, while skipping work the outcome does
+// not depend on:
+//
+//   - The draw is the same Hash64: Hash64 is HashInit, one HashMix per
+//     counter and HashFin, so finishing the folded (Seed, tag, step) state
+//     with pre and post yields the same word. The finish is spelled out at
+//     both rolls: as a helper it exceeds the inlining budget, and the call
+//     per roll shows in the post-spike benchmarks.
+//   - P ≤ γ: eq. 6's exponential is ≤ 1 at age ≥ 0 and PDepEvent clamps
+//     its own to 1, so a draw u ≥ γ fails whatever P is and the exponential
+//     is evaluated only below the ceiling. There Bernoulli's own decision
+//     (P > 0 and, unless P ≥ 1, u < P) is kept as is.
+//   - P is read from the age tables exactly when age is a whole number of
+//     ms inside them: the same function at the same input.
+//
+// LTP is rolled only where P_pot can be non-zero (finite age ≥ 0);
+// elsewhere Bernoulli returns false without a draw.
+//
+//psslint:noalloc
+func (p *Plasticity) stochRoll(age float64, hPot, hDep uint64, pre, post int) outcome {
+	st := &p.Cfg.Stoch
+	if age >= 0 && age < math.Inf(1) {
+		if u := rng.Float64From(rng.HashFin(rng.HashMix(rng.HashMix(hPot, uint64(pre)), uint64(post)))); u < st.GammaPot {
+			pp := 0.0
+			if k, ok := ageIndex(age); ok {
+				pp = p.potTab[k]
+			} else {
+				pp = st.PPot(age)
+			}
+			if passes(u, pp) {
+				return potUpdate
+			}
+		}
+	}
+	if u := rng.Float64From(rng.HashFin(rng.HashMix(rng.HashMix(hDep, uint64(pre)), uint64(post)))); u < st.GammaDep {
+		pd := 0.0
+		if k, ok := ageIndex(age); ok {
+			pd = p.depTab[k]
+		} else {
+			pd = st.PDepEvent(age, p.Cfg.Det.WindowMS)
+		}
+		if passes(u, pd) {
+			return depUpdate
+		}
+	}
+	return noUpdate
+}
+
+// ageIndex reports whether age is a whole number of ms inside the age
+// tables, and its index. The range is checked before converting, because
+// converting an out-of-range float to int is implementation-defined.
+func ageIndex(age float64) (int, bool) {
+	if age >= 0 && age < ageTabLen {
+		if k := int(age); float64(k) == age {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// passes is rng.Bernoulli's decision for a draw u already taken: true with
+// probability prob, saturating outside [0, 1].
+func passes(u, prob float64) bool {
+	return prob > 0 && (prob >= 1 || u < prob)
 }
 
 // OnPostSpikeRange applies the learning rule for a post-neuron spike at absolute
@@ -162,37 +279,39 @@ func (p *Plasticity) depress(pre, post int, step uint64) {
 //     probability P_dep per eq. 7 evaluated from the window edge
 //     (StochParams.PDepEvent). Loosely correlated events therefore change
 //     conductance only rarely — the paper's explanation for why stochastic
-//     STDP retains memory and survives coarse quantization (§IV-D).
+//     STDP retains memory and survives coarse quantization (§IV-D). The
+//     decision is stochRoll's.
 //
 // Only input synapses [lo, hi) of the post column move: disjoint pre
 // ranges of one column never race, so a caller may split an update.
 //
 //psslint:noalloc
 func (p *Plasticity) OnPostSpikeRange(post int, now float64, lastPre []float64, step uint64, lo, hi int) {
-	w := p.Cfg.Det.WindowMS
+	var pots, deps uint64
 	switch p.Cfg.Kind {
 	case Deterministic:
+		w := p.Cfg.Det.WindowMS
 		for pre := lo; pre < hi; pre++ {
 			if now-lastPre[pre] <= w {
-				p.potentiate(pre, post, step)
+				p.applyPot(pre, post, step)
+				pots++
 			} else {
-				p.depress(pre, post, step)
+				p.applyDep(pre, post, step)
+				deps++
 			}
 		}
 	case Stochastic:
+		hPot, hDep := p.rollKeys(step)
 		for pre := lo; pre < hi; pre++ {
-			dt := now - lastPre[pre]
-			if pp := p.Cfg.Stoch.PPot(dt); pp > 0 {
-				if rng.Bernoulli(pp, p.Cfg.Seed, tagPotRoll, step, uint64(pre), uint64(post)) {
-					p.potentiate(pre, post, step)
-					continue
-				}
-			}
-			if pd := p.Cfg.Stoch.PDepEvent(dt, w); pd > 0 {
-				if rng.Bernoulli(pd, p.Cfg.Seed, tagDepRoll, step, uint64(pre), uint64(post)) {
-					p.depress(pre, post, step)
-				}
+			switch p.stochRoll(now-lastPre[pre], hPot, hDep, pre, post) {
+			case potUpdate:
+				p.applyPot(pre, post, step)
+				pots++
+			case depUpdate:
+				p.applyDep(pre, post, step)
+				deps++
 			}
 		}
 	}
+	p.count(pots, deps)
 }

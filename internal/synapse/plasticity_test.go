@@ -492,6 +492,188 @@ func TestUpdateBoundedProperty(t *testing.T) {
 	}
 }
 
+// onPostSpikeReference is the per-synapse loop OnPostSpikeRange ran before
+// its stochastic arm was folded, kept as the oracle: both closed-form
+// probabilities evaluated for every synapse, a full Hash64 per roll, one
+// counter add per update.
+func onPostSpikeReference(p *Plasticity, post int, now float64, lastPre []float64, step uint64, lo, hi int) {
+	w := p.Cfg.Det.WindowMS
+	switch p.Cfg.Kind {
+	case Deterministic:
+		for pre := lo; pre < hi; pre++ {
+			if now-lastPre[pre] <= w {
+				p.applyPot(pre, post, step)
+				p.potApplied.Add(1)
+			} else {
+				p.applyDep(pre, post, step)
+				p.depApplied.Add(1)
+			}
+		}
+	case Stochastic:
+		for pre := lo; pre < hi; pre++ {
+			dt := now - lastPre[pre]
+			if pp := p.Cfg.Stoch.PPot(dt); pp > 0 {
+				if rng.Bernoulli(pp, p.Cfg.Seed, tagPotRoll, step, uint64(pre), uint64(post)) {
+					p.applyPot(pre, post, step)
+					p.potApplied.Add(1)
+					continue
+				}
+			}
+			if pd := p.Cfg.Stoch.PDepEvent(dt, w); pd > 0 {
+				if rng.Bernoulli(pd, p.Cfg.Seed, tagDepRoll, step, uint64(pre), uint64(post)) {
+					p.applyDep(pre, post, step)
+					p.depApplied.Add(1)
+				}
+			}
+		}
+	}
+}
+
+// FuzzOnPostSpikeMatchesReference: OnPostSpikeRange moves every weight and
+// counter exactly as the reference loop does, across formats (float32,
+// flat-step Q1.7, Q1.15 with stochastic rounding), both rules, γ at 0, 1
+// and in between, and ages on every edge the folded arm distinguishes: never
+// fired, negative, 0, fractional, around the LTP window, around the age
+// table's end, and far beyond it.
+func FuzzOnPostSpikeMatchesReference(f *testing.F) {
+	f.Add(uint8(1), true, uint8(1), 0.37, 100.0, uint64(1), uint64(9), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 130, 140, 200})
+	f.Add(uint8(0), true, uint8(2), 0.0, 2000.0, uint64(5), uint64(1), []byte{3, 3, 130, 131, 255})
+	f.Add(uint8(2), true, uint8(0), 0.5, 50.5, uint64(7), uint64(3), []byte{6, 7, 8, 200, 201})
+	f.Add(uint8(2), false, uint8(1), 0.9, 1024.0, uint64(2), uint64(4), []byte{0, 7, 8, 9, 129})
+	f.Fuzz(func(t *testing.T, format uint8, stochastic bool, gammaSel uint8, gamma, now float64, seed, step uint64, ageSel []byte) {
+		kind := Deterministic
+		if stochastic {
+			kind = Stochastic
+		}
+		var cfg Config
+		switch format % 3 {
+		case 0:
+			cfg, _, _ = PresetConfig(PresetFloat, kind)
+		case 1:
+			cfg, _, _ = PresetConfig(PresetHighFreq, kind)
+			cfg.Format = fixed.Q1p7
+			cfg.Rounding = fixed.Stochastic
+		case 2:
+			cfg, _, _ = PresetConfig(Preset16Bit, kind)
+		}
+		cfg.Seed = seed
+		if math.IsNaN(gamma) || math.IsInf(gamma, 0) {
+			gamma = 0.5
+		}
+		g := math.Abs(gamma) - math.Floor(math.Abs(gamma))
+		switch gammaSel % 3 {
+		case 0:
+			cfg.Stoch.GammaPot, cfg.Stoch.GammaDep = 0, 0
+		case 1:
+			cfg.Stoch.GammaPot, cfg.Stoch.GammaDep = g, 1-g
+		case 2:
+			cfg.Stoch.GammaPot, cfg.Stoch.GammaDep = 1, 1
+		}
+		if math.IsNaN(now) || math.IsInf(now, 0) {
+			now = 100
+		}
+		w := cfg.Det.WindowMS
+		edges := []float64{
+			math.Inf(1), -1, -0.25, 0, 0.5, 3.75,
+			w - 1, w, w + 1,
+			ageTabLen - 1, ageTabLen, ageTabLen + 1, 1e300,
+		}
+		if len(ageSel) == 0 || len(ageSel) > 64 {
+			return
+		}
+		lastPre := make([]float64, len(ageSel))
+		for i, b := range ageSel {
+			age := edges[int(b)%len(edges)]
+			if b >= 128 {
+				age = float64(b - 128) // whole-ms ages 0–127
+			}
+			lastPre[i] = now - age
+			if math.IsInf(age, 1) {
+				lastPre[i] = Never
+			}
+		}
+		mk := func() *Plasticity {
+			m, err := NewMatrix(len(lastPre), 3, cfg.Format)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.InitUniform(rng.NewStream(seed), 0, cfg.GCeil())
+			p, err := NewPlasticity(cfg, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+		got, want := mk(), mk()
+		if format%3 == 1 && !got.fastStep {
+			t.Fatal("Q1.7 at the high-frequency preset is not on the flat-step path")
+		}
+		// Three posts, a repeat on post 0 so saturation is reached from
+		// both sides, and a split range.
+		for i, post := range []int{0, 1, 2, 0} {
+			s := step + uint64(i)
+			got.OnPostSpikeRange(post, now, lastPre, s, 0, len(lastPre)/2)
+			got.OnPostSpikeRange(post, now, lastPre, s, len(lastPre)/2, len(lastPre))
+			onPostSpikeReference(want, post, now, lastPre, s, 0, len(lastPre))
+		}
+		gw, ww := got.M.Weights(), want.M.Weights()
+		for i := range gw {
+			if gw[i] != ww[i] {
+				t.Fatalf("synapse %d: got %v, reference %v (lastPre %v)", i, gw[i], ww[i], lastPre)
+			}
+		}
+		gp, gd := got.Counters()
+		wp, wd := want.Counters()
+		if gp != wp || gd != wd {
+			t.Fatalf("counters pot %d/%d dep %d/%d (got/reference)", gp, wp, gd, wd)
+		}
+	})
+}
+
+// TestAgeTablesMatchClosedForm: every tabled probability is the closed form
+// at its whole-ms age and never exceeds its γ — the ceiling stochRoll tests
+// the draw against before reading a probability. The sweep over fractional
+// and extreme ages checks the same ceiling for the ages the tables miss.
+func TestAgeTablesMatchClosedForm(t *testing.T) {
+	gammas := []float64{0, 1e-9, 0.2, 0.3, 0.5, 0.9, 0.999999, 1}
+	for _, preset := range PresetNames() {
+		for _, gp := range gammas {
+			cfg, _, err := PresetConfig(preset, Stochastic)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Stoch.GammaPot, cfg.Stoch.GammaDep = gp, 1-gp
+			p, _ := newPair(t, cfg, 1, 1)
+			if len(p.potTab) != ageTabLen || len(p.depTab) != ageTabLen {
+				t.Fatalf("%s: tables %d/%d entries, want %d", preset, len(p.potTab), len(p.depTab), ageTabLen)
+			}
+			w := cfg.Det.WindowMS
+			for k := range p.potTab {
+				if p.potTab[k] != cfg.Stoch.PPot(float64(k)) || p.depTab[k] != cfg.Stoch.PDepEvent(float64(k), w) {
+					t.Fatalf("%s γ=%v: table entry %d is not the closed form", preset, gp, k)
+				}
+				if p.potTab[k] > cfg.Stoch.GammaPot || p.depTab[k] > cfg.Stoch.GammaDep {
+					t.Fatalf("%s γ=%v: table entry %d (%v, %v) above γ", preset, gp, k, p.potTab[k], p.depTab[k])
+				}
+			}
+			s := rng.NewStream(math.Float64bits(gp))
+			for i := 0; i < 2000; i++ {
+				age := math.Ldexp(s.Float64(), s.Intn(80)-60) // 2^-60 … 2^20 ms
+				if pp := cfg.Stoch.PPot(age); pp > cfg.Stoch.GammaPot {
+					t.Fatalf("%s: PPot(%v) = %v above γ_pot %v", preset, age, pp, cfg.Stoch.GammaPot)
+				}
+				if pd := cfg.Stoch.PDepEvent(age, w); pd > cfg.Stoch.GammaDep {
+					t.Fatalf("%s: PDepEvent(%v) = %v above γ_dep %v", preset, age, pd, cfg.Stoch.GammaDep)
+				}
+			}
+		}
+	}
+	det, _ := newPair(t, floatConfig(Deterministic), 1, 1)
+	if det.potTab != nil || det.depTab != nil {
+		t.Fatal("deterministic rule built stochastic age tables")
+	}
+}
+
 func BenchmarkDeterministicPostSpike784(b *testing.B) {
 	cfg := floatConfig(Deterministic)
 	m, _ := NewMatrix(784, 100, cfg.Format)
@@ -519,6 +701,36 @@ func BenchmarkStochasticPostSpike784(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.OnPostSpikeRange(i%100, 100, lastPre, uint64(i), 0, len(lastPre))
+	}
+}
+
+// BenchmarkStochasticPostSpikeTrainFast is one post spike of the train-fast
+// workload: 784×1000 Q1.7 at the high-frequency preset, every pre's age a
+// whole ms from its own 5–78 Hz Poisson train over a 100 ms presentation
+// (Never if it has not fired).
+func BenchmarkStochasticPostSpikeTrainFast(b *testing.B) {
+	cfg, band, _ := PresetConfig(PresetHighFreq, Stochastic)
+	cfg.Format = fixed.Q1p7
+	cfg.Rounding = fixed.Stochastic
+	cfg.Seed = 1
+	m, _ := NewMatrix(784, 1000, cfg.Format)
+	m.InitUniform(rng.NewStream(2), 0, cfg.GCeil())
+	p, _ := NewPlasticity(cfg, m)
+	s := rng.NewStream(3)
+	const now = 100.0
+	lastPre := make([]float64, 784)
+	for i := range lastPre {
+		hz := s.Range(band.MinHz, band.MaxHz)
+		lastPre[i] = Never
+		for t := 1.0; t <= now; t++ {
+			if s.Float64() < hz/1000 {
+				lastPre[i] = t
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.OnPostSpikeRange(i%1000, now, lastPre, uint64(i), 0, len(lastPre))
 	}
 }
 
