@@ -51,17 +51,21 @@ type expResult struct {
 
 // plasticityBench is the dense-vs-lazy presentation-throughput comparison
 // recorded when -plasticity=lazy: both modes present the same image sequence
-// to a 784×1000 network and the ratio of presentation rates is reported.
+// to a 784×1000 network in alternating pairs of trials, and the per-pair
+// ratio of their wall times is summarized by its median and quartiles.
 type plasticityBench struct {
 	Inputs        int     `json:"inputs"`
 	Neurons       int     `json:"neurons"`
-	Presentations int     `json:"presentations"`
+	Presentations int     `json:"presentations"` // per trial
 	TLearnMS      float64 `json:"tlearn_ms"`
-	DenseNs       int64   `json:"dense_ns"`
-	LazyNs        int64   `json:"lazy_ns"`
+	Pairs         int     `json:"pairs"`
+	DenseNs       int64   `json:"dense_ns"` // median trial
+	LazyNs        int64   `json:"lazy_ns"`  // median trial
 	DensePresSec  float64 `json:"dense_pres_per_sec"`
 	LazyPresSec   float64 `json:"lazy_pres_per_sec"`
-	Speedup       float64 `json:"speedup"` // dense_ns / lazy_ns
+	Speedup       float64 `json:"speedup"`     // median per-pair dense_ns / lazy_ns
+	SpeedupP25    float64 `json:"speedup_p25"` // lower quartile of the per-pair ratios
+	SpeedupP75    float64 `json:"speedup_p75"` // upper quartile of the per-pair ratios
 }
 
 // swarBench is the scalar-vs-SWAR kernel comparison: the same
@@ -561,8 +565,9 @@ func main() {
 			os.Exit(1)
 		}
 		plastCmp = &cmp
-		fmt.Printf("plasticity %dx%d: dense %.1f pres/s, lazy %.1f pres/s — %.2fx\n",
-			cmp.Inputs, cmp.Neurons, cmp.DensePresSec, cmp.LazyPresSec, cmp.Speedup)
+		fmt.Printf("plasticity %dx%d: dense %.1f pres/s, lazy %.1f pres/s — %.2fx (quartiles %.2f–%.2f over %d pairs)\n",
+			cmp.Inputs, cmp.Neurons, cmp.DensePresSec, cmp.LazyPresSec, cmp.Speedup,
+			cmp.SpeedupP25, cmp.SpeedupP75, cmp.Pairs)
 	}
 
 	var swarCmp *swarBench
@@ -686,43 +691,67 @@ func plasticityThroughput(workers int) (plasticityBench, error) {
 		return time.Since(start), nil
 	}
 
-	// Best of three interleaved trials per mode: the min filters out CPU
-	// steal and scheduler noise on shared runners, and interleaving keeps
-	// slow machine phases from landing entirely on one mode. Each trial
-	// rebuilds its network, so both modes always start from the same
-	// initial weights.
-	const trials = 3
-	denseWall, lazyWall := time.Duration(0), time.Duration(0)
-	for trial := 0; trial < trials; trial++ {
-		d, err := measure(network.DensePlasticity)
-		if err != nil {
-			return plasticityBench{}, err
+	// Alternating pairs of trials: a slow machine phase lands on both
+	// trials of a pair, so the per-pair ratio cancels most of it, and the
+	// mode that goes first alternates so neither always runs on a warm
+	// cache. Each trial rebuilds its network, so both modes always start
+	// from the same initial weights. Best-of-three trials spread 0.84–1.60×
+	// run to run on a 2-vCPU VM; the median over pairs with its quartiles
+	// says how far a single reading can be trusted.
+	const pairs = 11
+	dense := make([]float64, pairs)
+	lazy := make([]float64, pairs)
+	ratios := make([]float64, pairs)
+	for i := 0; i < pairs; i++ {
+		order := []network.PlasticityMode{network.DensePlasticity, network.LazyPlasticity}
+		if i%2 == 1 {
+			order[0], order[1] = order[1], order[0]
 		}
-		l, err := measure(network.LazyPlasticity)
-		if err != nil {
-			return plasticityBench{}, err
+		for _, mode := range order {
+			d, err := measure(mode)
+			if err != nil {
+				return plasticityBench{}, err
+			}
+			if mode == network.DensePlasticity {
+				dense[i] = float64(d)
+			} else {
+				lazy[i] = float64(d)
+			}
 		}
-		if trial == 0 || d < denseWall {
-			denseWall = d
-		}
-		if trial == 0 || l < lazyWall {
-			lazyWall = l
-		}
+		ratios[i] = dense[i] / lazy[i]
 	}
-	persec := func(d time.Duration) float64 {
-		return float64(presentations) / d.Seconds()
+	denseWall, lazyWall := quantile(dense, 0.5), quantile(lazy, 0.5)
+	persec := func(ns float64) float64 {
+		return float64(presentations) / (ns / 1e9)
 	}
 	return plasticityBench{
 		Inputs:        inputs,
 		Neurons:       neurons,
 		Presentations: presentations,
 		TLearnMS:      ctl.TLearnMS,
-		DenseNs:       denseWall.Nanoseconds(),
-		LazyNs:        lazyWall.Nanoseconds(),
+		Pairs:         pairs,
+		DenseNs:       int64(denseWall),
+		LazyNs:        int64(lazyWall),
 		DensePresSec:  persec(denseWall),
 		LazyPresSec:   persec(lazyWall),
-		Speedup:       float64(denseWall) / float64(lazyWall),
+		Speedup:       quantile(ratios, 0.5),
+		SpeedupP25:    quantile(ratios, 0.25),
+		SpeedupP75:    quantile(ratios, 0.75),
 	}, nil
+}
+
+// quantile returns the q-quantile of xs (0 ≤ q ≤ 1), interpolating
+// linearly between order statistics. xs must be non-empty; it is not
+// modified.
+func quantile(xs []float64, q float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(pos)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 }
 
 // swarProbe times the same integrate+plasticity sweep twice over a
@@ -737,8 +766,8 @@ func plasticityThroughput(workers int) (plasticityBench, error) {
 // Both passes must end in the bit-identical weight state and current
 // vector — the kernels' contract — so a divergence fails the probe rather
 // than reporting a bogus speedup. Best of three interleaved trials per
-// side, as in plasticityThroughput. multiRowProbe then times the
-// step-shaped integrate on the same codes.
+// side. multiRowProbe then times the step-shaped integrate on the same
+// codes.
 func swarProbe(f fixed.Format) (swarBench, error) {
 	const (
 		nPre  = 784
@@ -994,7 +1023,7 @@ func encodeProbe() (encodeBench, error) {
 		var mismatch error
 		start := time.Now()
 		for r := 0; r < reps; r++ {
-			plan = src.BuildPlanInto(plan, 0, dt, steps, band)
+			plan = src.BuildPlanInto(plan, 0, dt, steps)
 			for st := 0; st < steps; st++ {
 				buf = plan.Step(st, buf[:0])
 				if len(buf) != len(want[st]) && mismatch == nil {

@@ -102,6 +102,11 @@ type Source struct {
 	// last stepped with, so the Poisson decision is one hash + compare.
 	thresholds []uint64
 	thrDT      float64
+	// active lists the pixels with a nonzero threshold, ascending, and
+	// activeThr their thresholds, packed: the only pixels a Poisson plan
+	// build hashes. Prepare fills both beside thresholds.
+	active    []int32
+	activeThr []uint64
 }
 
 // NewSource builds a spike source for an image under the given band.
@@ -144,17 +149,26 @@ func (s *Source) Rebind(img []uint8, band Band, presentation uint64) error {
 	return nil
 }
 
-// Prepare precomputes the per-pixel Poisson thresholds for step width dt.
+// Prepare precomputes the per-pixel Poisson thresholds for step width dt,
+// and the active set of pixels whose threshold is nonzero.
 // Call it once before stepping the source from multiple goroutines;
 // unprepared sources compute the same decisions on the fly. Prepare must
 // not race with Step/StepRange.
 func (s *Source) Prepare(dt float64) {
 	if s.thresholds == nil {
 		s.thresholds = make([]uint64, len(s.rates))
+		s.active = make([]int32, 0, len(s.rates))
+		s.activeThr = make([]uint64, 0, len(s.rates))
 	}
 	s.thrDT = dt
+	s.active, s.activeThr = s.active[:0], s.activeThr[:0]
 	for i, rate := range s.rates {
-		s.thresholds[i] = poissonThreshold(rate * dt / 1000)
+		thr := poissonThreshold(rate * dt / 1000)
+		s.thresholds[i] = thr
+		if thr != 0 {
+			s.active = append(s.active, int32(i))
+			s.activeThr = append(s.activeThr, thr)
+		}
 	}
 }
 

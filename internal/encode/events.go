@@ -20,8 +20,8 @@ import (
 //     step: the prefix is folded once per step and each pixel costs two
 //     inlined SplitMix64 rounds instead of a three-round variadic Hash64
 //     call. Pixels whose threshold is zero (rate·dt == 0, e.g. background
-//     pixels under a MinHz=0 band) are excluded from the active set up
-//     front and never hashed at all.
+//     pixels under a MinHz=0 band) are excluded from the active set when
+//     the source is Prepared and never hashed at all.
 //
 //   - Regular trains spike at arithmetic times phase + k·period, so true
 //     skip-ahead is exact: the builder jumps from one spike to the
@@ -34,23 +34,16 @@ import (
 
 // buildPoisson fills p with the Poisson spikes of steps consecutive steps
 // starting at p.startStep, bit-identical to Source.Step at each step. The
-// source must be Prepared for p.dt.
+// source must be Prepared for p.dt; it is only read, so several plans may
+// be built from it at once.
 func (s *Source) buildPoisson(p *Plan, steps int) {
-	p.active = p.active[:0]
-	p.activeThr = p.activeThr[:0]
-	for i, thr := range s.thresholds {
-		if thr != 0 {
-			p.active = append(p.active, int32(i))
-			p.activeThr = append(p.activeThr, thr)
-		}
-	}
 	hImg := rng.HashInit(s.presSeed)
 	for st := 0; st < steps; st++ {
 		// One fold of the shared (presSeed, step) prefix serves every pixel.
 		hStep := rng.HashMix(hImg, p.startStep+uint64(st))
 		base := len(p.spikes)
-		thrs := p.activeThr[:len(p.active)]
-		for k, px := range p.active {
+		thrs := s.activeThr[:len(s.active)]
+		for k, px := range s.active {
 			if rng.HashFin(rng.HashMix(hStep, uint64(px))) < thrs[k] {
 				p.spikes = append(p.spikes, px)
 			}

@@ -11,8 +11,14 @@ package encode
 // FuzzSparseMatchesDense is the differential fuzzer: for arbitrary
 // (image, band, kind, dt, seed, presentation, start step) it requires the
 // sparse builder to reproduce the dense Source.Step reference bit for bit.
+//
+// FuzzChunkedPlanMatchesWhole cuts a presentation at fuzzer-chosen split
+// points and requires the plans of the pieces, each keyed at its own first
+// global step, to replay exactly the steps of one whole plan — the
+// property network.Core's chunked build rests on.
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -50,7 +56,7 @@ func FuzzPlanFromEvents(f *testing.F) {
 		for i, b := range spkB {
 			spikes[i] = int32(int8(b))
 		}
-		p, err := PlanFromEvents(start, BaselineBand(), Poisson, dt, int(numTrains), offsets, spikes)
+		p, err := PlanFromEvents(start, dt, int(numTrains), offsets, spikes)
 		if err != nil {
 			return
 		}
@@ -121,7 +127,7 @@ func FuzzSparseMatchesDense(f *testing.F) {
 		if err != nil {
 			return
 		}
-		p := s.BuildPlan(start, dt, steps, band)
+		p := s.BuildPlan(start, dt, steps)
 		if verr := p.Validate(); verr != nil {
 			t.Fatalf("sparse plan fails validation: %v", verr)
 		}
@@ -139,6 +145,55 @@ func FuzzSparseMatchesDense(f *testing.F) {
 						st, i, buf[i], want[i], kind, lo, hi, dt)
 				}
 			}
+		}
+	})
+}
+
+func FuzzChunkedPlanMatchesWhole(f *testing.F) {
+	f.Add(uint64(1), uint64(0), byte(0), byte(2), byte(100), []byte{10, 10, 10}, []byte{0, 128, 255})
+	f.Add(uint64(3), uint64(1)<<32-7, byte(1), byte(1), byte(101), []byte{3, 1, 40}, []byte{255, 1, 64, 200})
+	f.Add(uint64(5), uint64(12345), byte(0), byte(0), byte(7), []byte{1}, []byte{200, 30})
+	f.Add(uint64(8), uint64(1)<<32+2, byte(1), byte(3), byte(250), []byte{0, 9, 90}, []byte{90, 180, 255})
+
+	bands := []Band{BaselineBand(), HighFrequencyBand(), {MinHz: 0, MaxHz: 78}, {MinHz: 2.56, MaxHz: 56.32}}
+	dts := []float64{0.1, 0.5, 1, 2}
+	f.Fuzz(func(t *testing.T, seed, start uint64, kindB, sel, stepsB byte, cuts, img []byte) {
+		if len(img) == 0 || len(img) > 96 || len(cuts) > 64 {
+			return
+		}
+		kind := Poisson
+		if kindB&1 == 1 {
+			kind = Regular
+		}
+		band := bands[int(sel)%len(bands)]
+		dt := dts[int(sel>>2)%len(dts)]
+		steps := 1 + int(stepsB)
+		pixels := slices.Clone(img)
+		s, err := NewSource(pixels, band, kind, seed, start)
+		if err != nil {
+			return
+		}
+		whole := s.BuildPlan(start, dt, steps)
+		// One recycled piece plan, so storage left by a longer piece must
+		// leave no residue in a shorter one.
+		var piece *Plan
+		lo := 0
+		for i := 0; lo < steps; i++ {
+			n := steps - lo
+			if i < len(cuts) && cuts[i] > 0 && int(cuts[i]) < n {
+				n = int(cuts[i])
+			}
+			piece = s.BuildPlanInto(piece, start+uint64(lo), dt, n)
+			if err := piece.Validate(); err != nil {
+				t.Fatalf("piece [%d, %d) fails validation: %v", lo, lo+n, err)
+			}
+			for st := 0; st < n; st++ {
+				if got, want := piece.StepView(st), whole.StepView(lo+st); !slices.Equal(got, want) {
+					t.Fatalf("step %d (piece [%d, %d)): piece %v, whole %v (kind=%v band=%v dt=%v start=%d)",
+						lo+st, lo, lo+n, got, want, kind, band, dt, start)
+				}
+			}
+			lo += n
 		}
 	})
 }

@@ -51,7 +51,7 @@ func TestNoAllocPlanStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := s.BuildPlan(0, 1, 50, HighFrequencyBand())
+	p := s.BuildPlan(0, 1, 50)
 	dst := make([]int, 0, len(img))
 	st := 0
 	sink := 0
@@ -87,14 +87,14 @@ func TestNoAllocBuildPlanInto(t *testing.T) {
 		}
 		// Warm: first build sizes every buffer for this shape, including the
 		// worst-case Regular event staging.
-		p := s.BuildPlanInto(nil, 0, 1, 80, BaselineBand())
+		p := s.BuildPlanInto(nil, 0, 1, 80)
 		pres := uint64(1)
 		avg := testing.AllocsPerRun(100, func() {
 			if err := s.Rebind(img, BaselineBand(), pres); err != nil {
 				t.Error(err)
 				return
 			}
-			p = s.BuildPlanInto(p, pres, 1, 80, BaselineBand())
+			p = s.BuildPlanInto(p, pres, 1, 80)
 			pres++
 		})
 		if avg != 0 {

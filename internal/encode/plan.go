@@ -9,18 +9,17 @@ import (
 // Plan is a fully materialized spike schedule for one presentation: every
 // (step, pixel) spike of a Source over a fixed step count, in CSR-like
 // layout plus a per-step bitset membership view. Because every Source
-// decision is a pure function of (seed, presentation, step, pixel), a plan
-// built ahead of time — possibly on another goroutine, while the network is
-// still presenting earlier images — replays bit-identically to stepping the
-// source inline.
+// decision is a pure function of (seed, presentation, global step, pixel),
+// a plan built ahead of time — possibly on another goroutine — replays
+// bit-identically to stepping the source inline, and the plan of steps
+// [lo, hi) keyed at startStep+lo holds exactly those steps of the plan
+// keyed at startStep: network.Core builds a presentation in such chunks.
 //
 // A plan is immutable after BuildPlan/BuildPlanInto and safe for concurrent
 // reads. BuildPlanInto may recycle a previously built plan's buffers, so a
 // recycled plan must not be read concurrently with its rebuild.
 type Plan struct {
-	startStep uint64 // global step the presentation is predicted to begin at
-	band      Band
-	kind      TrainKind
+	startStep uint64 // global step of the plan's first step
 	dt        float64
 	numTrains int // pixel count the plan was built for
 
@@ -34,17 +33,16 @@ type Plan struct {
 	bits  []uint64
 
 	// Build scratch, recycled across BuildPlanInto calls.
-	active    []int32  // Poisson: pixels with a nonzero spike threshold
-	activeThr []uint64 // Poisson: thresholds of the active pixels, packed
-	ev        []uint64 // Regular: staged (step<<32 | pixel) events
+	ev []uint64 // Regular: staged (step<<32 | pixel) events
 }
 
-// BuildPlan materializes the source's spikes for a presentation of `steps`
-// steps of width dt ms starting at global step startStep. The source must
-// have been built with presentation == startStep (the network's convention);
-// thresholds are prepared for dt automatically.
-func (s *Source) BuildPlan(startStep uint64, dt float64, steps int, band Band) *Plan {
-	return s.BuildPlanInto(nil, startStep, dt, steps, band)
+// BuildPlan materializes the source's spikes for `steps` steps of width dt
+// ms starting at global step startStep. The network binds a presentation's
+// source with presentation == its first step, and builds each chunk of it
+// from that source with startStep at the chunk's first step; thresholds
+// are prepared for dt automatically.
+func (s *Source) BuildPlan(startStep uint64, dt float64, steps int) *Plan {
+	return s.BuildPlanInto(nil, startStep, dt, steps)
 }
 
 // BuildPlanInto is BuildPlan reusing the buffers of a previously built plan
@@ -53,15 +51,15 @@ func (s *Source) BuildPlan(startStep uint64, dt float64, steps int, band Band) *
 // (see events.go), which visits O(spikes) work for Regular trains and two
 // hash rounds per (step, active pixel) for Poisson trains — never the dense
 // per-(step, pixel) Hash64 of Source.Step — yet produces bit-identical spike
-// sets. BuildPlanInto may Prepare the source and must not race with
-// concurrent Step/StepRange calls on it.
-func (s *Source) BuildPlanInto(p *Plan, startStep uint64, dt float64, steps int, band Band) *Plan {
+// sets. A source not yet Prepared for dt is Prepared here, which writes
+// it: callers that build from one source on several goroutines at once
+// must Prepare it for dt first, after which concurrent builds only read
+// it. No build may race with Prepare or Rebind.
+func (s *Source) BuildPlanInto(p *Plan, startStep uint64, dt float64, steps int) *Plan {
 	if p == nil {
 		p = &Plan{}
 	}
 	p.startStep = startStep
-	p.band = band
-	p.kind = s.Kind
 	p.dt = dt
 	p.numTrains = len(s.rates)
 	p.words = (p.numTrains + 63) / 64
@@ -102,7 +100,7 @@ func (s *Source) BuildPlanInto(p *Plan, startStep uint64, dt float64, steps int,
 // final offset does not cover the spike payload. The inputs are copied; on
 // success the plan's bitset view is rebuilt from the events and the result
 // passes Validate.
-func PlanFromEvents(startStep uint64, band Band, kind TrainKind, dt float64, numTrains int, offsets []int, spikes []int32) (*Plan, error) {
+func PlanFromEvents(startStep uint64, dt float64, numTrains int, offsets []int, spikes []int32) (*Plan, error) {
 	if numTrains <= 0 {
 		return nil, fmt.Errorf("encode: plan with %d trains", numTrains)
 	}
@@ -111,8 +109,6 @@ func PlanFromEvents(startStep uint64, band Band, kind TrainKind, dt float64, num
 	}
 	p := &Plan{
 		startStep: startStep,
-		band:      band,
-		kind:      kind,
 		dt:        dt,
 		numTrains: numTrains,
 		words:     (numTrains + 63) / 64,

@@ -107,7 +107,7 @@ func TestSparseMatchesDense(t *testing.T) {
 						t.Fatal(err)
 					}
 					steps := 120
-					p := sparse.BuildPlan(start, dt, steps, band)
+					p := sparse.BuildPlan(start, dt, steps)
 					label := kind.String() + " " + band.labelForTest() + " dt=" +
 						floatLabel(dt) + " start=" + uintLabel(start)
 					comparePlan(t, label, p, densePlan(dense, start, dt, steps))
@@ -168,7 +168,7 @@ func TestSparseMatchesDenseProperty(t *testing.T) {
 			return false
 		}
 		const steps = 64
-		p := sparse.BuildPlan(pres, dt, steps, band)
+		p := sparse.BuildPlan(pres, dt, steps)
 		if p.Validate() != nil {
 			return false
 		}
@@ -209,11 +209,11 @@ func TestBuildPlanIntoReuseBitIdentical(t *testing.T) {
 		}
 		// Seed the recycled plan with a larger presentation so every buffer
 		// carries stale content into the rebuild.
-		p := src.BuildPlan(0, 1, 300, band)
+		p := src.BuildPlan(0, 1, 300)
 		if err := src.Rebind(imgB, band, 4242); err != nil {
 			t.Fatal(err)
 		}
-		p = src.BuildPlanInto(p, 4242, 0.5, 150, band)
+		p = src.BuildPlanInto(p, 4242, 0.5, 150)
 
 		fresh, err := NewSource(imgB, band, kind, 77, 4242)
 		if err != nil {
@@ -242,8 +242,8 @@ func TestBuildPlanSelfPrepares(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := densePlan(ref, 3, 0.5, 100)
-	comparePlan(t, "cold", cold.BuildPlan(3, 0.5, 100, band), want)
-	comparePlan(t, "stale-dt", stale.BuildPlan(3, 0.5, 100, band), want)
+	comparePlan(t, "cold", cold.BuildPlan(3, 0.5, 100), want)
+	comparePlan(t, "stale-dt", stale.BuildPlan(3, 0.5, 100), want)
 }
 
 // Zero-step plans are legal (a degenerate control could yield them) and must
@@ -253,7 +253,7 @@ func TestBuildPlanZeroSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := src.BuildPlan(0, 1, 0, BaselineBand())
+	p := src.BuildPlan(0, 1, 0)
 	if p.Steps() != 0 || p.Spikes() != 0 {
 		t.Fatalf("zero-step plan: %d steps, %d spikes", p.Steps(), p.Spikes())
 	}
@@ -269,8 +269,8 @@ func TestPlanFromEventsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := src.BuildPlan(11, 1, 90, HighFrequencyBand())
-		q, err := PlanFromEvents(p.StartStep(), HighFrequencyBand(), kind, 1, p.NumTrains(), p.offsets, p.spikes)
+		p := src.BuildPlan(11, 1, 90)
+		q, err := PlanFromEvents(p.StartStep(), 1, p.NumTrains(), p.offsets, p.spikes)
 		if err != nil {
 			t.Fatalf("%v: round trip rejected: %v", kind, err)
 		}
@@ -285,7 +285,6 @@ func TestPlanFromEventsRoundTrip(t *testing.T) {
 // PlanFromEvents must reject every class of hostile stream without
 // panicking: the offsets are attacker-controlled slice bounds.
 func TestPlanFromEventsHostile(t *testing.T) {
-	band := BaselineBand()
 	cases := []struct {
 		name      string
 		numTrains int
@@ -308,12 +307,12 @@ func TestPlanFromEventsHostile(t *testing.T) {
 		{"duplicate pixel in step", 4, []int{0, 2}, []int32{1, 1}},
 	}
 	for _, c := range cases {
-		if _, err := PlanFromEvents(0, band, Poisson, 1, c.numTrains, c.offsets, c.spikes); err == nil {
+		if _, err := PlanFromEvents(0, 1, c.numTrains, c.offsets, c.spikes); err == nil {
 			t.Errorf("%s: hostile stream accepted", c.name)
 		}
 	}
 	// And the well-formed baseline the cases are perturbations of.
-	p, err := PlanFromEvents(7, band, Poisson, 1, 4, []int{0, 2, 2, 3}, []int32{1, 3, 0})
+	p, err := PlanFromEvents(7, 1, 4, []int{0, 2, 2, 3}, []int32{1, 3, 0})
 	if err != nil {
 		t.Fatalf("well-formed stream rejected: %v", err)
 	}
@@ -327,7 +326,7 @@ func TestPlanFromEventsHostile(t *testing.T) {
 func TestPlanFromEventsCopies(t *testing.T) {
 	offsets := []int{0, 1}
 	spikes := []int32{2}
-	p, err := PlanFromEvents(0, BaselineBand(), Poisson, 1, 4, offsets, spikes)
+	p, err := PlanFromEvents(0, 1, 4, offsets, spikes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +352,7 @@ func TestSparseRegularPeriodEdges(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := sparse.BuildPlan(2, 1, 3000, band)
+		p := sparse.BuildPlan(2, 1, 3000)
 		comparePlan(t, "regular "+floatLabel(hz)+"Hz", p, densePlan(dense, 2, 1, 3000))
 	}
 }
@@ -364,7 +363,7 @@ func BenchmarkBuildPlanSparse784(b *testing.B) {
 	var p *Plan
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p = s.BuildPlanInto(p, 0, 1, 500, BaselineBand())
+		p = s.BuildPlanInto(p, 0, 1, 500)
 	}
 }
 

@@ -2,6 +2,7 @@ package golden
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"parallelspikesim/internal/engine"
@@ -89,14 +90,28 @@ func TestDenseMatchesGolden(t *testing.T) {
 	// The reference path reproduces the committed digests exactly. Any
 	// change to encoding, integration, WTA, plasticity arithmetic or RNG
 	// keying fails here first, naming the (rule, format, rounding) cell.
+	// Each cell replays with one processor and with two: a presentation's
+	// plan is built in chunks, by the presenting goroutine or by a helper
+	// it spawns (network.Core.Encode), and who builds a chunk must not
+	// move a digest.
 	for _, c := range Cases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			res, err := Run(c)
-			if err != nil {
-				t.Fatal(err)
+			for _, procs := range []int{1, 2} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					defer func() {
+						if t.Failed() {
+							t.Logf("GOMAXPROCS=%d", procs)
+						}
+					}()
+					res, err := Run(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertTrace(t, res.Trace, committed(t, c))
+				}()
 			}
-			assertTrace(t, res.Trace, committed(t, c))
 		})
 	}
 }

@@ -2,9 +2,11 @@ package infer_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/fixed"
@@ -73,6 +75,12 @@ func trainConfig(t *testing.T, cfg network.Config, ctl encode.Control, opts ...i
 // network.Core, so a divergence names what surrounds it — encoding, clock
 // handling or spike-count bookkeeping — in a (rule, format, rounding) cell.
 //
+// Every preset runs with one processor and with two. A presentation's plan
+// is built in chunks (network.Core.Encode): with one processor the
+// presenting goroutine builds nearly every chunk itself, with two the
+// helper it spawns builds most of them, and the spikes must not tell the
+// two apart.
+//
 // The fractional-dt cells keep the two clocks honest: Present accumulates
 // an absolute clock (now += dt) from a non-zero start step while Forward
 // computes step·dt from zero, and every timer must still agree. They run a
@@ -83,8 +91,12 @@ func TestForwardMatchesPresent(t *testing.T) {
 	for _, c := range golden.Cases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			net, ctl, eng := trainCase(t, c)
-			checkForwardMatchesPresent(t, net, ctl, eng)
+			for _, procs := range []int{1, 2} {
+				withGOMAXPROCS(t, procs, func() {
+					net, ctl, eng := trainCase(t, c)
+					checkForwardMatchesPresent(t, net, ctl, eng)
+				})
+			}
 		})
 	}
 	for _, c := range []golden.Case{golden.Cases()[4], golden.Cases()[14]} {
@@ -105,6 +117,37 @@ func TestForwardMatchesPresent(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestPresentAndForwardLeaveNoGoroutine checks that the plan helper each
+// presentation spawns has exited once Present and Forward return, for
+// learning and evaluation presentations alike.
+func TestPresentAndForwardLeaveNoGoroutine(t *testing.T) {
+	check.NoLeaks(t)
+	net, ctl, eng := trainCase(t, golden.Cases()[0])
+	data := golden.CaseImages()
+	for i := 0; i < data.Len(); i++ {
+		start := net.Step()
+		if _, err := net.Present(data.Images[i], ctl, i%2 == 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Forward(data.Images[i], start); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// withGOMAXPROCS runs fn with GOMAXPROCS set to procs, restoring it after,
+// and names procs in the log of a test that fn failed.
+func withGOMAXPROCS(t *testing.T, procs int, fn func()) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer func() {
+		if t.Failed() {
+			t.Logf("GOMAXPROCS=%d", procs)
+		}
+	}()
+	fn()
 }
 
 // checkForwardMatchesPresent presents every golden image without learning

@@ -3,6 +3,9 @@ package network
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/encode"
@@ -31,15 +34,36 @@ type Core struct {
 	kind    encode.TrainKind
 	srcSeed uint64         // input-spike stream seed, derived from the network seed
 	src     *encode.Source // created on the first Encode, then rebound per image
-	plan    *encode.Plan   // the encoded presentation, rebuilt in place
+
+	// The encoded presentation, in chunks of chunkSteps steps: chunks[k]
+	// holds steps [k·chunkSteps, (k+1)·chunkSteps), rebuilt in place by
+	// whichever goroutine claims k from next — run, or the helper that
+	// Encode spawns to build ahead of it.
+	start   uint64         // global step of the presentation's first step
+	steps   int            // steps in the presentation
+	chunks  []*encode.Plan // the chunk plans, grown to the longest presentation
+	done    []atomic.Bool  // done[k]: chunks[k] holds this presentation's steps
+	next    atomic.Int64   // the lowest chunk no goroutine has claimed
+	helper  sync.WaitGroup // the helper goroutine of the current presentation
+	ahead   func()         // c.buildAhead, bound once so spawning it does not allocate
+	buildNS int64          // presenting-goroutine build and wait time, observed once per run
 
 	current []float64 // per-neuron synaptic current trace
 	in      []int     // input-spike scratch, kept for its capacity
 	cand    []int     // threshold-crosser scratch, kept for its capacity
 
-	// Phase timers; nil (free no-ops) unless an observed network sets them.
+	// Phase timers and the helper's chunk counter; nil (free no-ops)
+	// unless an observed network sets them.
 	obsBuild, obsEncode, obsIntegrate, obsInhibit *obs.Timer
+	obsAhead                                      *obs.Counter
 }
+
+// chunkSteps is the step count of one plan chunk. A chunk is ~50 µs of
+// Poisson build at 784 pixels and ~110 µs of stepping at the paper's
+// 784×1000 operating point, so the helper stays ahead of run after the
+// first chunk, and a presentation of 100 steps hands off ten chunks, not
+// a hundred steps (DESIGN.md §16.4).
+const chunkSteps = 10
 
 // NewCore binds a population and a conductance matrix, both of cfg's
 // geometry, to a step core running cfg's electrical constants.
@@ -57,6 +81,7 @@ func NewCore(cfg Config, pop *neuron.Population, syn *synapse.Matrix) *Core {
 	if cfg.TauSynMS > 0 {
 		c.decay = math.Exp(-cfg.DTms / cfg.TauSynMS)
 	}
+	c.ahead = c.buildAhead
 	return c
 }
 
@@ -79,13 +104,22 @@ func PresentationSteps(ctl encode.Control, dt float64) (int, error) {
 // replays the same spikes. The event-driven builder visits work
 // proportional to spikes, not steps × pixels (DESIGN.md §16), and the
 // source and plan storage are recycled, so a warm Encode does not allocate.
+//
+// Encode only binds the source; the plan is built in chunks of chunkSteps
+// steps. A presentation of more than one chunk spawns one helper goroutine
+// that builds chunks ahead of run, which builds any chunk the helper has
+// not claimed yet itself. Chunk k is the source's plan of steps
+// [lo, hi) keyed at startStep+lo — exactly those steps of the whole plan,
+// since every draw is keyed by the global step — so who builds it does not
+// change a bit. run waits for the helper before it returns.
 func (c *Core) Encode(img []uint8, ctl encode.Control, startStep uint64) (int, error) {
 	steps, err := PresentationSteps(ctl, c.dt)
 	if err != nil {
 		return 0, err
 	}
+	// A helper of an encoding that was never run still reads the source.
+	c.helper.Wait()
 	t := c.obsBuild.Start()
-	defer c.obsBuild.Stop(t)
 	if c.src == nil {
 		src, err := encode.NewSource(img, ctl.Band, c.kind, c.srcSeed, startStep)
 		if err != nil {
@@ -95,8 +129,64 @@ func (c *Core) Encode(img []uint8, ctl encode.Control, startStep uint64) (int, e
 	} else if err := c.src.Rebind(img, ctl.Band, startStep); err != nil {
 		return 0, err
 	}
-	c.plan = c.src.BuildPlanInto(c.plan, startStep, c.dt, steps, ctl.Band)
+	// Prepared here, the source is read-only to both goroutines:
+	// BuildPlanInto's own lazy Prepare would race.
+	c.src.Prepare(c.dt)
+	n := (steps + chunkSteps - 1) / chunkSteps
+	for len(c.chunks) < n {
+		c.chunks = append(c.chunks, new(encode.Plan))
+	}
+	if len(c.done) < n {
+		c.done = make([]atomic.Bool, n)
+	}
+	for k := range c.done[:n] {
+		c.done[k].Store(false)
+	}
+	c.start, c.steps = startStep, steps
+	c.next.Store(0)
+	if n > 1 {
+		c.helper.Add(1)
+		go c.ahead()
+	}
+	c.buildNS = c.obsBuild.Since(t)
 	return steps, nil
+}
+
+// buildAhead is the helper goroutine's body: it claims and builds chunks
+// in order until every chunk is claimed.
+func (c *Core) buildAhead() {
+	defer c.helper.Done()
+	n := int64((c.steps + chunkSteps - 1) / chunkSteps)
+	for k := c.next.Add(1) - 1; k < n; k = c.next.Add(1) - 1 {
+		c.build(int(k))
+		c.obsAhead.Inc()
+	}
+}
+
+// build fills chunk k with steps [k·chunkSteps, hi) of the presentation
+// and publishes it. The caller must have claimed k.
+func (c *Core) build(k int) {
+	lo := k * chunkSteps
+	hi := min(lo+chunkSteps, c.steps)
+	c.src.BuildPlanInto(c.chunks[k], c.start+uint64(lo), c.dt, hi-lo)
+	c.done[k].Store(true)
+}
+
+// chunk returns chunk k once it is built: it claims and builds k inline
+// if no goroutine has claimed it, and otherwise yields until the claimer
+// publishes it. Chunks are claimed in order, so next ≥ k here, and no
+// chunk is built twice.
+func (c *Core) chunk(k int) *encode.Plan {
+	if !c.done[k].Load() {
+		if c.next.CompareAndSwap(int64(k), int64(k+1)) {
+			c.build(k)
+		} else {
+			for !c.done[k].Load() {
+				runtime.Gosched()
+			}
+		}
+	}
+	return c.chunks[k]
 }
 
 // Run steps the presentation last encoded from reset membranes, a zero
@@ -118,36 +208,44 @@ func (c *Core) Run() int { return c.run(nil) }
 //     layer-2 relay inhibits every other neuron for t_inh; the losers are
 //     suppressed.
 //
-// A step at the paper's 784×1000 operating point is ~11 µs of work, less
-// than a worker-pool handoff costs, so it runs on the calling goroutine
-// (DESIGN.md §16.4). Once the first presentation has warmed the scratch
-// capacities, run performs no heap allocation (TestNoAllocRun).
+// Each chunk's first step takes the chunk from the helper or builds it
+// (see Encode). A step at the paper's 784×1000 operating point is ~11 µs
+// of work, less than a worker-pool handoff costs, so it runs on the
+// calling goroutine (DESIGN.md §16.4). Once the first presentation has
+// warmed the scratch capacities, run performs no heap allocation
+// (TestNoAllocRun).
 //
 //psslint:noalloc
 func (c *Core) run(h *trainHook) int {
-	plan := c.plan
-	if check.Enabled {
-		// A malformed plan — hostile offsets, out-of-range pixels, a bitset
-		// out of sync with the CSR rows — must die here, not corrupt the
-		// simulation.
-		if err := plan.Validate(); err != nil {
-			check.Assert(false, "network: spike plan failed validation: %v", err)
-		}
-	}
 	// Per-step state lives in locals so the loop neither reloads nor stores
 	// through c every step; the scratch slices are written back at the end.
 	pop, cur, decay, in, cand := c.Pop, c.current, c.decay, c.in, c.cand
 	pop.ResetMembranes()
 	clear(cur)
 	inputSpikes := 0
-	for s := 0; s < plan.Steps(); s++ {
+	buildNS := c.buildNS
+	var plan *encode.Plan
+	for s := 0; s < c.steps; s++ {
 		now := float64(s) * c.dt
 		if h != nil {
 			now = h.n.now // training keeps the network's absolute clock
 		}
 
+		if s%chunkSteps == 0 {
+			t := c.obsBuild.Start()
+			plan = c.chunk(s / chunkSteps)
+			buildNS += c.obsBuild.Since(t)
+			if check.Enabled {
+				// A malformed plan — hostile offsets, out-of-range pixels,
+				// a bitset out of sync with the CSR rows — must die here,
+				// not corrupt the simulation.
+				if err := plan.Validate(); err != nil {
+					check.Assert(false, "network: spike plan failed validation: %v", err)
+				}
+			}
+		}
 		t := c.obsEncode.Start()
-		in = plan.Step(s, in[:0])
+		in = plan.Step(s%chunkSteps, in[:0])
 		c.obsEncode.Stop(t)
 		inputSpikes += len(in)
 		if h != nil {
@@ -206,6 +304,8 @@ func (c *Core) run(h *trainHook) int {
 			h.n.now += c.dt
 		}
 	}
+	c.helper.Wait()
+	c.obsBuild.Observe(buildNS)
 	c.in, c.cand = in, cand
 	return inputSpikes
 }

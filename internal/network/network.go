@@ -280,9 +280,11 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		}
 		n.lazy = q
 	}
-	// The core's phase timers: the per-presentation plan build, then the
-	// per-step plan lookup, integrate and WTA.
+	// The core's phase timers: the per-presentation plan build and wait
+	// on the presenting goroutine, then the per-step plan lookup, integrate
+	// and WTA; and the count of chunks its helper built ahead.
 	n.core.obsBuild = bo.reg.Timer("network_phase_encode_build_ns")
+	n.core.obsAhead = bo.reg.Counter("network_encode_chunks_ahead_total")
 	n.core.obsEncode = bo.reg.Timer("network_phase_encode_ns")
 	n.core.obsIntegrate = bo.reg.Timer("network_phase_integrate_ns")
 	n.core.obsInhibit = bo.reg.Timer("network_phase_inhibit_ns")

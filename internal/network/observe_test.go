@@ -48,6 +48,14 @@ func TestWithObserverRecordsPhasesAndCounters(t *testing.T) {
 	if got := reg.Timer("network_phase_encode_build_ns").Count(); got != 1 {
 		t.Errorf("encode build count = %d, want 1 per inline presentation", got)
 	}
+	// How many chunks the helper builds depends on scheduling; at most all.
+	ahead := reg.Counter("network_encode_chunks_ahead_total")
+	if net.core.obsAhead != ahead {
+		t.Error("the core's helper counter is not the registry's network_encode_chunks_ahead_total")
+	}
+	if got, chunks := ahead.Value(), (steps+chunkSteps-1)/chunkSteps; got > chunks {
+		t.Errorf("helper built %d chunks of a %d-chunk presentation", got, chunks)
+	}
 
 	// Counters must mirror the legacy diagnostic totals exactly.
 	if got := reg.Counter("network_input_spikes_total").Value(); got != net.TotalInputSpikes {
