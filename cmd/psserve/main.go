@@ -52,17 +52,14 @@ import (
 	"syscall"
 	"time"
 
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/continual"
-	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
-	"parallelspikesim/internal/fixed"
 	"parallelspikesim/internal/infer"
 	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/netio"
-	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/obs"
 	"parallelspikesim/internal/registry"
-	"parallelspikesim/internal/synapse"
 )
 
 // options collects every knob main parses; run consumes it whole.
@@ -72,13 +69,9 @@ type options struct {
 	modelsDir string // directory of *.pss snapshots to serve by name
 	modelName string // registry name for -load / default model for /classify
 
-	rule     string
-	preset   string
-	rounding string
-	seed     uint64
-	classes  int
-	tlearn   float64
-	workers  int
+	model   config.Model // how the models were trained: rule, preset, rounding, seed, tlearn
+	classes int
+	workers int
 
 	sc serverConfig
 
@@ -102,12 +95,12 @@ func main() {
 	flag.StringVar(&o.load, "load", "", "trained PSS2 snapshot to serve (this or -models is required)")
 	flag.StringVar(&o.modelsDir, "models", "", "directory of *.pss snapshots to serve as named models")
 	flag.StringVar(&o.modelName, "model", "default", "model name for -load, and the model /classify resolves to")
-	flag.StringVar(&o.rule, "rule", "stochastic", "learning rule the models were trained with: deterministic | stochastic")
-	flag.StringVar(&o.preset, "preset", "float32", "Table I preset the models were trained with: 2bit|4bit|8bit|16bit|float32|highfreq")
-	flag.StringVar(&o.rounding, "rounding", "", "rounding override used at training time: truncation | nearest | stochastic")
-	flag.Uint64Var(&o.seed, "seed", 7, "master seed the models were trained with")
+	flag.StringVar(&o.model.Rule, "rule", "stochastic", "learning rule the models were trained with: deterministic | stochastic")
+	flag.StringVar(&o.model.Preset, "preset", "float32", "Table I preset the models were trained with: 2bit|4bit|8bit|16bit|float32|highfreq")
+	flag.StringVar(&o.model.Rounding, "rounding", "", "rounding override used at training time: truncation | nearest | stochastic")
+	flag.Uint64Var(&o.model.Seed, "seed", 7, "master seed the models were trained with")
 	flag.IntVar(&o.classes, "classes", 10, "class arity of the label tables")
-	flag.Float64Var(&o.tlearn, "tlearn", 0, "presentation time ms (0 = preset)")
+	flag.Float64Var(&o.model.TLearnMS, "tlearn", 0, "presentation time ms (0 = preset)")
 	flag.IntVar(&o.workers, "workers", 0, "engine workers for batch fan-out (0 = GOMAXPROCS, 1 = sequential)")
 	flag.DurationVar(&o.sc.timeout, "timeout", 10*time.Second, "healthy per-request deadline (the ladder may shrink it under load)")
 	flag.IntVar(&o.sc.maxBatch, "max-batch", 256, "images per /classify request")
@@ -132,55 +125,25 @@ func main() {
 	}
 }
 
-// presetSetup compiles the preset flags into the synapse configuration and
-// encode control every engine — serving or training — is built with. The
-// electrical constants are fixed once at startup.
-func presetSetup(rule, preset, rounding string, seed uint64, tlearn float64) (synapse.Config, encode.Control, error) {
-	kind, err := synapse.ParseRule(rule)
-	if err != nil {
-		return synapse.Config{}, encode.Control{}, err
-	}
-	syn, band, err := synapse.PresetConfig(synapse.Preset(preset), kind)
-	if err != nil {
-		return synapse.Config{}, encode.Control{}, err
-	}
-	if rounding != "" {
-		r, err := fixed.ParseRounding(rounding)
-		if err != nil {
-			return synapse.Config{}, encode.Control{}, err
-		}
-		syn.Rounding = r
-	}
-	syn.Seed = seed
-	ctl := encode.Control{Band: encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}, TLearnMS: encode.BaselineControl().TLearnMS}
-	if preset == string(synapse.PresetHighFreq) {
-		ctl = encode.HighFrequencyControl()
-	}
-	if tlearn > 0 {
-		ctl.TLearnMS = tlearn
-	}
-	return syn, ctl, nil
-}
-
-// newBuilder compiles the preset flags into a registry.Builder: every
-// (re)loaded snapshot is assembled into an engine exactly as pssim's
-// serving-path evaluation does, so served predictions match the accuracy
-// pssim reported.
-func newBuilder(rule, preset, rounding string, seed uint64, classes int, tlearn float64,
-	exec engine.Executor, reg *obs.Registry) (registry.Builder, error) {
-
-	syn, ctl, err := presetSetup(rule, preset, rounding, seed, tlearn)
-	if err != nil {
+// newBuilder compiles the model flags into a registry.Builder: every
+// (re)loaded snapshot is resolved at its own geometry and assembled into an
+// engine exactly as pssim's serving-path evaluation does, so served
+// predictions match the accuracy pssim reported.
+func newBuilder(m config.Model, classes int, exec engine.Executor, reg *obs.Registry) (registry.Builder, error) {
+	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return func(snap *netio.Snapshot) (registry.Engine, error) {
-		cfg := network.DefaultConfig(snap.NumInputs, snap.NumNeurons, syn)
+		cfg, ctl, err := m.Resolve(snap.NumInputs, snap.NumNeurons)
+		if err != nil {
+			return nil, err
+		}
 		return infer.FromSnapshot(snap, cfg, ctl, classes,
 			infer.WithExecutor(exec), infer.WithObserver(reg))
 	}, nil
 }
 
-// newLearner builds, from the same preset flags the serving engines use, a
+// newLearner builds, from the same model flags the serving engines use, a
 // continual trainer seeded with the default model's snapshot. The trainer
 // gets a private network (lazy plasticity, sequential executor) so online
 // presentations never contend with batch fan-out, and its checkpoints —
@@ -197,7 +160,7 @@ func newLearner(o options, models *registry.Registry, reg *obs.Registry) (*conti
 	if err != nil {
 		return nil, fmt.Errorf("learn: loading base snapshot: %w", err)
 	}
-	syn, ctl, err := presetSetup(o.rule, o.preset, o.rounding, o.seed, o.tlearn)
+	netCfg, ctl, err := o.model.Resolve(base.NumInputs, base.NumNeurons)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +192,6 @@ func newLearner(o options, models *registry.Registry, reg *obs.Registry) (*conti
 		QueueSize: o.learnQueue,
 		Tune:      tune,
 	}
-	netCfg := network.DefaultConfig(base.NumInputs, base.NumNeurons, syn)
 	return continual.New(cfg, netCfg, lopts, base, models, continual.WithObserver(reg))
 }
 
@@ -293,7 +255,7 @@ func run(o options) error {
 	reg := obs.NewRegistry()
 	engine.Instrument(exec, reg)
 
-	build, err := newBuilder(o.rule, o.preset, o.rounding, o.seed, o.classes, o.tlearn, exec, reg)
+	build, err := newBuilder(o.model, o.classes, exec, reg)
 	if err != nil {
 		return err
 	}

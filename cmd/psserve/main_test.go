@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"parallelspikesim/internal/check"
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/netio"
 	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/obs"
@@ -21,9 +22,7 @@ import (
 func bootOptions() options {
 	var o options
 	o.modelName = "default"
-	o.rule = "stochastic"
-	o.preset = "8bit"
-	o.seed = 0x5eed
+	o.model = config.Model{Rule: "stochastic", Preset: "8bit", Seed: 0x5eed}
 	o.classes = 4
 	o.learnEvery = 8
 	o.learnQueue = 16
@@ -39,11 +38,11 @@ func bootOptions() options {
 // behind for psserve to load.
 func writeBootSnapshot(t *testing.T, path string, o options) {
 	t.Helper()
-	syn, _, err := presetSetup(o.rule, o.preset, o.rounding, o.seed, o.tlearn)
+	cfg, _, err := o.model.Resolve(9, 4)
 	if err != nil {
-		t.Fatalf("preset setup: %v", err)
+		t.Fatalf("resolve: %v", err)
 	}
-	net, err := network.New(network.DefaultConfig(9, 4, syn))
+	net, err := network.New(cfg)
 	if err != nil {
 		t.Fatalf("network: %v", err)
 	}
@@ -58,7 +57,7 @@ func writeBootSnapshot(t *testing.T, path string, o options) {
 
 func bootRegistry(t *testing.T, o options) *registry.Registry {
 	t.Helper()
-	build, err := newBuilder(o.rule, o.preset, o.rounding, o.seed, o.classes, o.tlearn, nil, nil)
+	build, err := newBuilder(o.model, o.classes, nil, nil)
 	if err != nil {
 		t.Fatalf("builder: %v", err)
 	}

@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"parallelspikesim/internal/check"
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
-	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/fault"
 	"parallelspikesim/internal/fixed"
@@ -29,7 +29,6 @@ import (
 	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/obs"
 	"parallelspikesim/internal/registry"
-	"parallelspikesim/internal/synapse"
 )
 
 // stubModel is a deterministic fake: class = first pixel mod classes, and
@@ -829,22 +828,18 @@ func TestServeTrainedModelEndToEnd(t *testing.T) {
 		tlearn  = 80.0
 		classes = 10
 	)
-	kind, err := synapse.ParseRule(rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, band, err := synapse.PresetConfig(synapse.Preset(preset), kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn.Seed = seedV
+	// The model is resolved by the same call psserve's builder makes, so
+	// training and serving share one network config and control.
+	m := config.Model{Rule: rule, Preset: preset, Seed: seedV, TLearnMS: tlearn}
 	data := dataset.SynthDigits(6, seedV)
-	cfg := network.DefaultConfig(data.Pixels(), 12, syn)
+	cfg, ctl, err := m.Resolve(data.Pixels(), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	net, err := network.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := encode.Control{Band: encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}, TLearnMS: tlearn}
 	resp := make([][]int, cfg.NumNeurons)
 	for i := range resp {
 		resp[i] = make([]int, classes)
@@ -870,7 +865,7 @@ func TestServeTrainedModelEndToEnd(t *testing.T) {
 	exec := engine.New(2)
 	defer exec.Close()
 	reg := obs.NewRegistry()
-	build, err := newBuilder(rule, preset, "", seedV, classes, tlearn, exec, reg)
+	build, err := newBuilder(m, classes, exec, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ import (
 
 	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
-	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/fixed"
 	"parallelspikesim/internal/infer"
@@ -52,57 +51,87 @@ import (
 	"parallelspikesim/internal/netio"
 	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/obs"
-	"parallelspikesim/internal/synapse"
 	"parallelspikesim/internal/viz"
 )
 
 func main() {
-	var (
-		data     = flag.String("data", "digits", "data set: digits | fashion")
-		mnistDir = flag.String("mnist", "", "directory with real MNIST IDX files (overrides -data)")
-		rule     = flag.String("rule", "stochastic", "learning rule: deterministic | stochastic")
-		preset   = flag.String("preset", "float32", "Table I preset: 2bit|4bit|8bit|16bit|float32|highfreq")
-		format   = flag.String("format", "", "precision override: q0.2 | q0.4 | q1.7 | q1.15 | float32 (\"\" = preset's format)")
-		rounding = flag.String("rounding", "", "rounding override: truncation | nearest | stochastic")
-		neurons  = flag.Int("neurons", 100, "first-layer neurons")
-		nTrain   = flag.Int("train", 2000, "training images")
-		nLabel   = flag.Int("label", 300, "labeling images (paper: 1000)")
-		nInfer   = flag.Int("infer", 500, "inference images (paper: 9000)")
-		tlearn   = flag.Float64("tlearn", 0, "presentation time ms (0 = preset)")
-		workers  = flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS, 1 = sequential)")
-		seed     = flag.Uint64("seed", 7, "master seed")
-		showMaps = flag.Int("maps", 0, "print N conductance maps after training")
-		progress = flag.Bool("progress", true, "print moving error during training")
-		cfgPath  = flag.String("config", "", "JSON simulation-environment file (overrides most flags)")
-		savePath = flag.String("save", "", "save the trained network snapshot to this file")
-		loadPath = flag.String("load", "", "load a trained snapshot instead of training")
-		ckptPath = flag.String("checkpoint", "", "write training checkpoints to this file (enables Ctrl-C safe interruption)")
-		ckptEach = flag.Int("checkpoint-every", 500, "checkpoint every N training images")
-		resume   = flag.Bool("resume", false, "resume training from the -checkpoint file if it exists")
-		metrics  = flag.String("metrics", "", "dump metrics to this file, or - for stdout (Prometheus text; *.json for JSON)")
-		metEvery = flag.Int("metrics-every", 0, "also refresh the -metrics dump every N training images (0 = only at exit)")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-	)
-	flag.Parse()
-
-	if *cfgPath != "" {
-		f, err := config.Load(*cfgPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pssim:", err)
-			os.Exit(1)
-		}
-		*data, *mnistDir, *rule, *preset, *rounding = f.Data, f.MNISTDir, f.Rule, f.Preset, f.Rounding
-		*neurons, *nTrain, *nLabel, *nInfer = f.Neurons, f.TrainImages, f.LabelImages, f.InferImages
-		*tlearn, *workers, *seed = f.TLearnMS, f.Workers, f.Seed
+	o, err := parseOptions(flag.CommandLine, os.Args[1:])
+	if err == nil {
+		err = run(o)
 	}
-
-	if err := run(*data, *mnistDir, *rule, *preset, *format, *rounding, *neurons,
-		*nTrain, *nLabel, *nInfer, *tlearn, *workers, *seed, *showMaps, *progress,
-		*savePath, *loadPath, checkpointOpts{Path: *ckptPath, Every: *ckptEach, Resume: *resume},
-		obsOpts{Metrics: *metrics, Every: *metEvery, Pprof: *pprof}); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "pssim:", err)
 		os.Exit(1)
 	}
+}
+
+// options is everything pssim's flags select. file is the run itself: the
+// simulation environment, filled from the flags or replaced whole by
+// -config. The rest only shapes how pssim reports and persists the run.
+type options struct {
+	file     config.File
+	format   string // precision override applied after resolution ("" = preset's)
+	showMaps int
+	progress bool
+	savePath string
+	loadPath string
+	ckpt     checkpointOpts
+	ob       obsOpts
+}
+
+// parseOptions parses pssim's command line into fs. With -config the file
+// replaces every flag it has a key for.
+func parseOptions(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	f := &o.file
+	fs.StringVar(&f.Data, "data", "digits", "data set: digits | fashion")
+	fs.StringVar(&f.MNISTDir, "mnist", "", "directory with real MNIST IDX files (overrides -data)")
+	fs.StringVar(&f.Rule, "rule", "stochastic", "learning rule: deterministic | stochastic")
+	fs.StringVar(&f.Preset, "preset", "float32", "Table I preset: 2bit|4bit|8bit|16bit|float32|highfreq")
+	fs.StringVar(&o.format, "format", "", "precision override: q0.2 | q0.4 | q1.7 | q1.15 | float32 (\"\" = preset's format)")
+	fs.StringVar(&f.Rounding, "rounding", "", "rounding override: truncation | nearest | stochastic")
+	fs.IntVar(&f.Neurons, "neurons", 100, "first-layer neurons")
+	fs.IntVar(&f.TrainImages, "train", 2000, "training images")
+	fs.IntVar(&f.LabelImages, "label", 300, "labeling images (paper: 1000)")
+	fs.IntVar(&f.InferImages, "infer", 500, "inference images (paper: 9000)")
+	fs.Float64Var(&f.TLearnMS, "tlearn", 0, "presentation time ms (0 = preset)")
+	fs.IntVar(&f.Workers, "workers", 0, "engine workers (0 = GOMAXPROCS, 1 = sequential)")
+	fs.Uint64Var(&f.Seed, "seed", 7, "master seed")
+	fs.IntVar(&o.showMaps, "maps", 0, "print N conductance maps after training")
+	fs.BoolVar(&o.progress, "progress", true, "print moving error during training")
+	cfgPath := fs.String("config", "", "JSON simulation-environment file (replaces the data, model and image-count flags; -format still applies)")
+	fs.StringVar(&o.savePath, "save", "", "save the trained network snapshot to this file")
+	fs.StringVar(&o.loadPath, "load", "", "load a trained snapshot instead of training")
+	fs.StringVar(&o.ckpt.Path, "checkpoint", "", "write training checkpoints to this file (enables Ctrl-C safe interruption)")
+	fs.IntVar(&o.ckpt.Every, "checkpoint-every", 500, "checkpoint every N training images")
+	fs.BoolVar(&o.ckpt.Resume, "resume", false, "resume training from the -checkpoint file if it exists")
+	fs.StringVar(&o.ob.Metrics, "metrics", "", "dump metrics to this file, or - for stdout (Prometheus text; *.json for JSON)")
+	fs.IntVar(&o.ob.Every, "metrics-every", 0, "also refresh the -metrics dump every N training images (0 = only at exit)")
+	fs.StringVar(&o.ob.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if *cfgPath != "" {
+		file, err := config.Load(*cfgPath)
+		if err != nil {
+			return options{}, err
+		}
+		o.file = file
+	}
+	return o, nil
+}
+
+// resolve builds the network configuration and learning options the run
+// trains with, for images of numInputs pixels.
+func (o options) resolve(numInputs int) (config.Resolved, error) {
+	res, err := o.file.Resolve(numInputs)
+	if err != nil || o.format == "" {
+		return res, err
+	}
+	if res.Net.Syn.Format, err = fixed.ParseFormat(o.format); err != nil {
+		return config.Resolved{}, err
+	}
+	return res, nil
 }
 
 // checkpointOpts configures crash-safe training: periodic snapshots of the
@@ -154,10 +183,11 @@ func (o obsOpts) dump(reg *obs.Registry) error {
 	return err
 }
 
-func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain, nLabel, nInfer int,
-	tlearn float64, workers int, seed uint64, showMaps int, progress bool,
-	savePath, loadPath string, ckpt checkpointOpts, ob obsOpts) error {
-
+func run(o options) error {
+	f, ckpt, ob := o.file, o.ckpt, o.ob
+	if err := f.Validate(); err != nil {
+		return err
+	}
 	if ckpt.Resume && ckpt.Path == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
@@ -183,54 +213,34 @@ func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain,
 		fmt.Printf("pprof listening on %s\n", ln)
 	}
 
-	kind, err := synapse.ParseRule(rule)
-	if err != nil {
-		return err
-	}
-	syn, band, err := synapse.PresetConfig(synapse.Preset(preset), kind)
-	if err != nil {
-		return err
-	}
-	if format != "" {
-		f, err := fixed.ParseFormat(format)
-		if err != nil {
-			return err
-		}
-		syn.Format = f
-	}
-	if rounding != "" {
-		r, err := fixed.ParseRounding(rounding)
-		if err != nil {
-			return err
-		}
-		syn.Rounding = r
-	}
-	syn.Seed = seed
-
 	var train, test *dataset.Dataset
+	nTest := f.LabelImages + f.InferImages
 	switch {
-	case mnistDir != "":
-		if train, test, err = dataset.LoadMNISTDir(mnistDir); err != nil {
+	case f.MNISTDir != "":
+		var err error
+		if train, test, err = dataset.LoadMNISTDir(f.MNISTDir); err != nil {
 			return err
 		}
-		if nTrain < train.Len() {
-			train = train.Subset(0, nTrain)
+		if f.TrainImages < train.Len() {
+			train = train.Subset(0, f.TrainImages)
 		}
-	case data == "digits":
-		train = dataset.SynthDigits(nTrain, seed)
-		test = dataset.SynthDigits(nLabel+nInfer, seed+1000)
-	case data == "fashion":
-		train = dataset.SynthFashion(nTrain, seed)
-		test = dataset.SynthFashion(nLabel+nInfer, seed+1000)
-	default:
-		return fmt.Errorf("unknown data set %q", data)
+	case f.Data == "digits":
+		train = dataset.SynthDigits(f.TrainImages, f.Seed)
+		test = dataset.SynthDigits(nTest, f.Seed+1000)
+	case f.Data == "fashion":
+		train = dataset.SynthFashion(f.TrainImages, f.Seed)
+		test = dataset.SynthFashion(nTest, f.Seed+1000)
 	}
-	if test.Len() > nLabel+nInfer {
-		test = test.Subset(0, nLabel+nInfer)
+	if test.Len() > nTest {
+		test = test.Subset(0, nTest)
 	}
 
-	cfg := network.DefaultConfig(train.Pixels(), neurons, syn)
-	w := workers
+	res, err := o.resolve(train.Pixels())
+	if err != nil {
+		return err
+	}
+	cfg, opts := res.Net, res.Learn
+	w := res.Workers
 	if w == 0 {
 		w = engine.Auto // CLI convention: 0 means all cores
 	}
@@ -242,18 +252,9 @@ func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain,
 		return err
 	}
 
-	opts := learn.DefaultOptions()
-	opts.Control.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
-	if preset == string(synapse.PresetHighFreq) {
-		opts.Control = encode.HighFrequencyControl()
-	}
-	if tlearn > 0 {
-		opts.Control.TLearnMS = tlearn
-	}
-
 	fmt.Printf("pssim: %s / %s / %s rounding=%s | %d inputs × %d neurons | band %.0f-%.0f Hz, %.0f ms/image\n",
-		train.Name, kind, syn.Format, syn.Rounding,
-		train.Pixels(), neurons, opts.Control.Band.MinHz, opts.Control.Band.MaxHz, opts.Control.TLearnMS)
+		train.Name, cfg.Syn.Kind, cfg.Syn.Format, cfg.Syn.Rounding,
+		train.Pixels(), cfg.NumNeurons, opts.Control.Band.MinHz, opts.Control.Band.MaxHz, opts.Control.TLearnMS)
 
 	opts.NumClasses = train.NumClasses
 	tr, err := learn.New(net, opts)
@@ -261,15 +262,15 @@ func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain,
 		return err
 	}
 	start := time.Now()
-	if loadPath != "" {
-		snap, err := netio.LoadFile(loadPath)
+	if o.loadPath != "" {
+		snap, err := netio.LoadFile(o.loadPath)
 		if err != nil {
 			return err
 		}
 		if err := snap.Restore(net); err != nil {
 			return err
 		}
-		fmt.Printf("loaded trained snapshot from %s (training skipped)\n", loadPath)
+		fmt.Printf("loaded trained snapshot from %s (training skipped)\n", o.loadPath)
 	} else {
 		if ckpt.Resume {
 			switch snap, err := netio.LoadFile(ckpt.Path); {
@@ -308,7 +309,7 @@ func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain,
 			}()
 		}
 		err = tr.Train(train, func(i int, movingErr float64) {
-			if progress && (i+1)%500 == 0 {
+			if o.progress && (i+1)%500 == 0 {
 				fmt.Printf("  trained %5d/%d images, moving error %.1f%%, elapsed %v\n",
 					i+1, train.Len(), 100*movingErr, time.Since(start).Round(time.Second))
 			}
@@ -329,7 +330,7 @@ func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain,
 	}
 	trainWall := time.Since(start)
 
-	labelSet, inferSet := test.LabelInferSplit(nLabel)
+	labelSet, inferSet := test.LabelInferSplit(f.LabelImages)
 	model, err := tr.Label(labelSet)
 	if err != nil {
 		return err
@@ -348,11 +349,11 @@ func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain,
 	if err != nil {
 		return err
 	}
-	if savePath != "" {
-		if err := netio.SaveFile(savePath, netio.Capture(net, model)); err != nil {
+	if o.savePath != "" {
+		if err := netio.SaveFile(o.savePath, netio.Capture(net, model)); err != nil {
 			return err
 		}
-		fmt.Printf("saved trained snapshot to %s\n", savePath)
+		fmt.Printf("saved trained snapshot to %s\n", o.savePath)
 	}
 
 	fmt.Printf("\naccuracy: %.2f%% (%d/%d, %d unclassified)\n",
@@ -360,11 +361,11 @@ func run(data, mnistDir, rule, preset, format, rounding string, neurons, nTrain,
 	fmt.Printf("training wall clock: %v (%d boost re-presentations)\n", trainWall.Round(time.Millisecond), tr.BoostCount)
 	fmt.Printf("confusion matrix:\n%s", conf.String())
 
-	if showMaps > 0 {
+	if o.showMaps > 0 {
 		fmt.Println("\nconductance maps (strongest receptive fields):")
 		rf := make([]float64, train.Pixels())
 		var tiles []string
-		for n := 0; n < showMaps && n < neurons; n++ {
+		for n := 0; n < o.showMaps && n < cfg.NumNeurons; n++ {
 			net.Syn.Column(n, rf)
 			tile, err := viz.ConductanceASCII(rf, train.Width, train.Height)
 			if err != nil {

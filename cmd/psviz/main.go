@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 
 	"parallelspikesim/internal/dataset"
-	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/network"
@@ -54,7 +53,7 @@ func run(out, data, rule string, neurons, nTrain, maps int, seed uint64) error {
 		return fmt.Errorf("unknown data set %q", data)
 	}
 
-	syn, band, err := synapse.PresetConfig(synapse.PresetFloat, kind)
+	syn, ctl, err := synapse.PresetConfig(synapse.PresetFloat, kind)
 	if err != nil {
 		return err
 	}
@@ -67,7 +66,7 @@ func run(out, data, rule string, neurons, nTrain, maps int, seed uint64) error {
 		return err
 	}
 	opts := learn.DefaultOptions()
-	opts.Control.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
+	opts.Control = ctl
 	opts.NumClasses = train.NumClasses
 	tr, err := learn.New(net, opts)
 	if err != nil {

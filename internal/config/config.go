@@ -4,6 +4,13 @@
 // file: a JSON document selecting the data set, network geometry, learning
 // rule, precision, rounding, frequency control and engine parallelism, with
 // validation and defaulting.
+//
+// It is also the one place a string-configured run is resolved. Model, the
+// part of a file that fixes how a network learns and presents images, is
+// what pssim (from a file or from its flags) and psserve (from its flags,
+// once per snapshot geometry) turn into a network.Config and an
+// encode.Control through Model.Resolve. Every field is obeyed; a tool's own
+// flags, such as pssim's -format, apply after resolution.
 package config
 
 import (
@@ -34,6 +41,15 @@ type File struct {
 
 	Neurons int `json:"neurons"`
 
+	Model
+
+	Workers int `json:"workers,omitempty"`
+}
+
+// Model is the part of a file that fixes how a network learns and
+// presents images: everything a trained model must be rebuilt with to
+// answer as it was evaluated. Its keys sit at the top level of the file.
+type Model struct {
 	Rule     string `json:"rule"`               // "deterministic" | "stochastic"
 	Preset   string `json:"preset"`             // Table I row
 	Rounding string `json:"rounding,omitempty"` // override
@@ -49,8 +65,7 @@ type File struct {
 	TauSynMS float64 `json:"tau_syn_ms,omitempty"`
 	DTms     float64 `json:"dt_ms,omitempty"`
 
-	Workers int    `json:"workers,omitempty"`
-	Seed    uint64 `json:"seed,omitempty"`
+	Seed uint64 `json:"seed,omitempty"`
 }
 
 // Default returns the baseline configuration: stochastic STDP at float32 on
@@ -62,9 +77,7 @@ func Default() File {
 		LabelImages: 300,
 		InferImages: 500,
 		Neurons:     100,
-		Rule:        "stochastic",
-		Preset:      "float32",
-		Seed:        7,
+		Model:       Model{Rule: "stochastic", Preset: "float32", Seed: 7},
 	}
 }
 
@@ -109,8 +122,24 @@ func (f File) Validate() error {
 		return fmt.Errorf("config: neurons must be positive")
 	case f.Workers < 0:
 		return fmt.Errorf("config: workers must be non-negative, got %d", f.Workers)
-	case f.MinHz < 0 || f.MaxHz < 0 || (f.MaxHz > 0 && f.MinHz > f.MaxHz):
-		return fmt.Errorf("config: bad band [%v, %v]", f.MinHz, f.MaxHz)
+	}
+	return f.Model.Validate()
+}
+
+// Validate checks the model fields without building anything.
+func (m Model) Validate() error {
+	_, _, err := m.preset()
+	return err
+}
+
+// preset checks the fields and returns the preset's Table I row, with the
+// rule, rounding and seed applied, and its operating point.
+func (m Model) preset() (synapse.Config, encode.Control, error) {
+	fail := func(err error) (synapse.Config, encode.Control, error) {
+		return synapse.Config{}, encode.Control{}, err
+	}
+	if m.MinHz < 0 || m.MaxHz < 0 || (m.MaxHz > 0 && m.MinHz > m.MaxHz) {
+		return fail(fmt.Errorf("config: bad band [%v, %v]", m.MinHz, m.MaxHz))
 	}
 	// Overrides use 0 as "take the default", so anything negative or
 	// non-finite is a mistake, not a choice.
@@ -118,26 +147,29 @@ func (f File) Validate() error {
 		name string
 		val  float64
 	}{
-		{"min_hz", f.MinHz}, {"max_hz", f.MaxHz}, {"tlearn_ms", f.TLearnMS},
-		{"tinh_ms", f.TInhMS}, {"spike_amp", f.SpikeAmp},
-		{"tau_syn_ms", f.TauSynMS}, {"dt_ms", f.DTms},
+		{"min_hz", m.MinHz}, {"max_hz", m.MaxHz}, {"tlearn_ms", m.TLearnMS},
+		{"tinh_ms", m.TInhMS}, {"spike_amp", m.SpikeAmp},
+		{"tau_syn_ms", m.TauSynMS}, {"dt_ms", m.DTms},
 	} {
 		if v.val < 0 || math.IsNaN(v.val) || math.IsInf(v.val, 0) {
-			return fmt.Errorf("config: %s must be a non-negative finite number, got %v", v.name, v.val)
+			return fail(fmt.Errorf("config: %s must be a non-negative finite number, got %v", v.name, v.val))
 		}
 	}
-	if _, err := synapse.ParseRule(f.Rule); err != nil {
-		return err
+	kind, err := synapse.ParseRule(m.Rule)
+	if err != nil {
+		return fail(err)
 	}
-	if _, _, err := synapse.PresetConfig(synapse.Preset(f.Preset), synapse.Stochastic); err != nil {
-		return err
+	syn, ctl, err := synapse.PresetConfig(synapse.Preset(m.Preset), kind)
+	if err != nil {
+		return fail(err)
 	}
-	if f.Rounding != "" {
-		if _, err := fixed.ParseRounding(f.Rounding); err != nil {
-			return err
+	if m.Rounding != "" {
+		if syn.Rounding, err = fixed.ParseRounding(m.Rounding); err != nil {
+			return fail(err)
 		}
 	}
-	return nil
+	syn.Seed = m.Seed
+	return syn, ctl, nil
 }
 
 // Resolved is the fully-constructed run setup.
@@ -145,7 +177,6 @@ type Resolved struct {
 	Net     network.Config
 	Learn   learn.Options
 	Workers int
-	Seed    uint64
 }
 
 // Resolve turns the file into concrete network and pipeline configurations
@@ -154,58 +185,50 @@ func (f File) Resolve(numInputs int) (Resolved, error) {
 	if err := f.Validate(); err != nil {
 		return Resolved{}, err
 	}
-	kind, err := synapse.ParseRule(f.Rule)
+	cfg, ctl, err := f.Model.Resolve(numInputs, f.Neurons)
 	if err != nil {
 		return Resolved{}, err
 	}
-	syn, band, err := synapse.PresetConfig(synapse.Preset(f.Preset), kind)
-	if err != nil {
-		return Resolved{}, err
-	}
-	if f.Rounding != "" {
-		r, err := fixed.ParseRounding(f.Rounding)
-		if err != nil {
-			return Resolved{}, err
-		}
-		syn.Rounding = r
-	}
-	syn.Seed = f.Seed
-
-	cfg := network.DefaultConfig(numInputs, f.Neurons, syn)
-	if f.TInhMS > 0 {
-		cfg.TInhMS = f.TInhMS
-	}
-	if f.SpikeAmp > 0 {
-		cfg.SpikeAmp = f.SpikeAmp
-	}
-	if f.TauSynMS > 0 {
-		cfg.TauSynMS = f.TauSynMS
-	}
-	if f.DTms > 0 {
-		cfg.DTms = f.DTms
-	}
-
 	opts := learn.DefaultOptions()
-	opts.Control.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
-	if f.Preset == string(synapse.PresetHighFreq) {
-		opts.Control = encode.HighFrequencyControl()
-	}
-	if f.MinHz > 0 {
-		opts.Control.Band.MinHz = f.MinHz
-	}
-	if f.MaxHz > 0 {
-		opts.Control.Band.MaxHz = f.MaxHz
-	}
-	if f.TLearnMS > 0 {
-		opts.Control.TLearnMS = f.TLearnMS
-	}
+	opts.Control = ctl
+	return Resolved{Net: cfg, Learn: opts, Workers: f.Workers}, nil
+}
 
-	res := Resolved{Net: cfg, Learn: opts, Workers: f.Workers, Seed: f.Seed}
-	if err := res.Net.Validate(); err != nil {
-		return Resolved{}, err
+// Resolve builds the network configuration and frequency control the model
+// runs with at the given geometry: the preset's Table I row and operating
+// point, then every non-zero override.
+func (m Model) Resolve(numInputs, numNeurons int) (network.Config, encode.Control, error) {
+	syn, ctl, err := m.preset()
+	if err != nil {
+		return network.Config{}, encode.Control{}, err
 	}
-	if err := res.Learn.Validate(); err != nil {
-		return Resolved{}, err
+	cfg := network.DefaultConfig(numInputs, numNeurons, syn)
+	if m.TInhMS > 0 {
+		cfg.TInhMS = m.TInhMS
 	}
-	return res, nil
+	if m.SpikeAmp > 0 {
+		cfg.SpikeAmp = m.SpikeAmp
+	}
+	if m.TauSynMS > 0 {
+		cfg.TauSynMS = m.TauSynMS
+	}
+	if m.DTms > 0 {
+		cfg.DTms = m.DTms
+	}
+	if m.MinHz > 0 {
+		ctl.Band.MinHz = m.MinHz
+	}
+	if m.MaxHz > 0 {
+		ctl.Band.MaxHz = m.MaxHz
+	}
+	if m.TLearnMS > 0 {
+		ctl.TLearnMS = m.TLearnMS
+	}
+	if err := cfg.Validate(); err != nil {
+		return network.Config{}, encode.Control{}, err
+	}
+	if err := ctl.Validate(); err != nil {
+		return network.Config{}, encode.Control{}, err
+	}
+	return cfg, ctl, nil
 }

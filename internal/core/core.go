@@ -87,7 +87,7 @@ func New(o Options) (*Simulator, error) {
 	if preset == "" {
 		preset = synapse.PresetFloat
 	}
-	syn, band, err := synapse.PresetConfig(preset, o.Rule)
+	syn, ctl, err := synapse.PresetConfig(preset, o.Rule)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +114,8 @@ func New(o Options) (*Simulator, error) {
 	}
 
 	opts := learn.DefaultOptions()
-	opts.Control.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
-	if o.HighFrequency || preset == synapse.PresetHighFreq {
+	opts.Control = ctl
+	if o.HighFrequency {
 		opts.Control = encode.HighFrequencyControl()
 	}
 	if o.TLearnMS > 0 {

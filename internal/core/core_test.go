@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
 	"parallelspikesim/internal/fixed"
 	"parallelspikesim/internal/synapse"
@@ -127,4 +129,48 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	sim.Close()
 	sim.Close()
+}
+
+// TestNewMatchesConfigResolve pins the typed path (core.New) to the string
+// path (config.Model.Resolve, which pssim and psserve use): for every
+// preset, rule and override they build the same network config and
+// control.
+func TestNewMatchesConfigResolve(t *testing.T) {
+	trunc := fixed.Truncate
+	overrides := []struct {
+		name  string
+		typed func(*Options)
+		str   func(*config.Model)
+	}{
+		{"none", func(*Options) {}, func(*config.Model) {}},
+		{"rounding", func(o *Options) { o.Rounding = &trunc }, func(m *config.Model) { m.Rounding = "truncation" }},
+		{"tlearn", func(o *Options) { o.TLearnMS = 40 }, func(m *config.Model) { m.TLearnMS = 40 }},
+	}
+	for _, p := range synapse.PresetNames() {
+		for _, kind := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
+			for _, ov := range overrides {
+				t.Run(fmt.Sprintf("%s/%v/%s", p, kind, ov.name), func(t *testing.T) {
+					o := Options{Inputs: 16, Neurons: 3, Preset: p, Rule: kind, Workers: 1, Seed: 5}
+					ov.typed(&o)
+					sim, err := New(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sim.Close()
+					m := config.Model{Rule: kind.String(), Preset: string(p), Seed: 5}
+					ov.str(&m)
+					cfg, ctl, err := m.Resolve(16, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sim.Net.Cfg != cfg {
+						t.Errorf("network config:\ncore   %+v\nconfig %+v", sim.Net.Cfg, cfg)
+					}
+					if sim.Opts.Control != ctl {
+						t.Errorf("control: core %+v, config %+v", sim.Opts.Control, ctl)
+					}
+				})
+			}
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"parallelspikesim/internal/dataset"
-	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/network"
@@ -161,7 +160,7 @@ func AblateParallelScaling(s Scale, workerCounts []int) (*ScalingResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	syn, band, err := synapse.PresetConfig(synapse.PresetFloat, synapse.Stochastic)
+	syn, ctl, err := synapse.PresetConfig(synapse.PresetFloat, synapse.Stochastic)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +180,7 @@ func AblateParallelScaling(s Scale, workerCounts []int) (*ScalingResult, error) 
 			return nil, err
 		}
 		opts := learn.DefaultOptions()
-		opts.Control.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
+		opts.Control = ctl
 		opts.NumClasses = train.NumClasses
 		tr, err := learn.New(net, opts)
 		if err != nil {
@@ -259,7 +258,7 @@ func AblateNoise(s Scale) (*NoiseResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		syn, band, err := synapse.PresetConfig(synapse.PresetFloat, rule)
+		syn, ctl, err := synapse.PresetConfig(synapse.PresetFloat, rule)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +275,7 @@ func AblateNoise(s Scale) (*NoiseResult, error) {
 			return nil, err
 		}
 		opts := learn.DefaultOptions()
-		opts.Control.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
+		opts.Control = ctl
 		opts.NumClasses = train.NumClasses
 		tr, err := learn.New(net, opts)
 		if err != nil {

@@ -118,7 +118,7 @@ func runPipeline(spec RunSpec, s Scale) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	syn, band, err := synapse.PresetConfig(spec.Preset, spec.Rule)
+	syn, ctl, err := synapse.PresetConfig(spec.Preset, spec.Rule)
 	if err != nil {
 		return nil, err
 	}
@@ -143,10 +143,7 @@ func runPipeline(spec RunSpec, s Scale) (*Outcome, error) {
 		return nil, err
 	}
 	opts := learn.DefaultOptions()
-	opts.Control.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
-	if spec.Preset == synapse.PresetHighFreq {
-		opts.Control = encode.HighFrequencyControl()
-	}
+	opts.Control = ctl
 	if spec.Control != nil {
 		opts.Control = *spec.Control
 	}

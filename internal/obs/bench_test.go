@@ -25,7 +25,7 @@ import (
 
 func presentFixture(tb testing.TB, reg *obs.Registry) (*network.Network, []uint8, encode.Control) {
 	tb.Helper()
-	syn, band, err := synapse.PresetConfig(synapse.PresetFloat, synapse.Stochastic)
+	syn, ctl, err := synapse.PresetConfig(synapse.PresetFloat, synapse.Stochastic)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -35,8 +35,6 @@ func presentFixture(tb testing.TB, reg *obs.Registry) (*network.Network, []uint8
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ctl := encode.BaselineControl()
-	ctl.Band = encode.Band{MinHz: band.MinHz, MaxHz: band.MaxHz}
 	ctl.TLearnMS = 100
 	return net, ds.Images[0], ctl
 }

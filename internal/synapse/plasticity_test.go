@@ -709,7 +709,7 @@ func BenchmarkStochasticPostSpike784(b *testing.B) {
 // whole ms from its own 5–78 Hz Poisson train over a 100 ms presentation
 // (Never if it has not fired).
 func BenchmarkStochasticPostSpikeTrainFast(b *testing.B) {
-	cfg, band, _ := PresetConfig(PresetHighFreq, Stochastic)
+	cfg, ctl, _ := PresetConfig(PresetHighFreq, Stochastic)
 	cfg.Format = fixed.Q1p7
 	cfg.Rounding = fixed.Stochastic
 	cfg.Seed = 1
@@ -720,7 +720,7 @@ func BenchmarkStochasticPostSpikeTrainFast(b *testing.B) {
 	const now = 100.0
 	lastPre := make([]float64, 784)
 	for i := range lastPre {
-		hz := s.Range(band.MinHz, band.MaxHz)
+		hz := s.Range(ctl.Band.MinHz, ctl.Band.MaxHz)
 		lastPre[i] = Never
 		for t := 1.0; t <= now; t++ {
 			if s.Float64() < hz/1000 {

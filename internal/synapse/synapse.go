@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math"
 
+	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/fixed"
 )
 
@@ -275,19 +276,14 @@ func PresetNames() []Preset {
 	return []Preset{Preset2Bit, Preset4Bit, Preset8Bit, Preset16Bit, PresetFloat, PresetHighFreq}
 }
 
-// FrequencyBand is the input spike-train frequency range attached to each
-// Table I row (Hz).
-type FrequencyBand struct {
-	MinHz float64
-	MaxHz float64
-}
-
 // PresetConfig returns the Table I parameter row for the given preset and
-// rule, along with its input frequency band. The float32 preset reuses the
-// 16-bit α/β row (the paper reports float32 results with the same rule
-// parameters). Rounding defaults to Stochastic for fixed formats; callers
-// override as needed.
-func PresetConfig(p Preset, kind RuleKind) (Config, FrequencyBand, error) {
+// rule, along with its operating point: the baseline 1–22 Hz / 500 ms
+// control for the five precision rows, the 5–78 Hz / 100 ms fast-learning
+// control (§IV-C) for highfreq. The float32 preset reuses the 16-bit α/β
+// row (the paper reports float32 results with the same rule parameters).
+// Rounding defaults to Stochastic for fixed formats; callers override as
+// needed.
+func PresetConfig(p Preset, kind RuleKind) (Config, encode.Control, error) {
 	// The deterministic magnitudes of the 16-bit row double as the float
 	// path and (via the 1/2^n substitution) as the ≤8-bit shape. The LTP
 	// window is matched to the 1–22 Hz input band: active pixels (ISI
@@ -298,7 +294,7 @@ func PresetConfig(p Preset, kind RuleKind) (Config, FrequencyBand, error) {
 		GMax: 1.0, GMin: 0,
 		WindowMS: 50,
 	}
-	band := FrequencyBand{MinHz: 1, MaxHz: 22}
+	ctl := encode.BaselineControl()
 	cfg := Config{Kind: kind, Det: det, Rounding: fixed.Stochastic}
 
 	switch p {
@@ -325,9 +321,9 @@ func PresetConfig(p Preset, kind RuleKind) (Config, FrequencyBand, error) {
 		// and an LTP window matched to the 5–78 Hz band (ISI ≈ 13 ms).
 		cfg.Stoch = StochParams{GammaPot: 0.3, TauPotMS: 80, GammaDep: 0.2, TauDepMS: 5}
 		cfg.Det.WindowMS = 15
-		band = FrequencyBand{MinHz: 5, MaxHz: 78}
+		ctl = encode.HighFrequencyControl()
 	default:
-		return Config{}, FrequencyBand{}, fmt.Errorf("synapse: unknown preset %q", p)
+		return Config{}, encode.Control{}, fmt.Errorf("synapse: unknown preset %q", p)
 	}
-	return cfg, band, nil
+	return cfg, ctl, nil
 }

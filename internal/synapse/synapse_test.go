@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/fixed"
 )
 
@@ -138,7 +139,7 @@ func TestProbabilitiesSaturateAtOne(t *testing.T) {
 
 func TestPresetConfigTable1(t *testing.T) {
 	// Spot-check the Table I rows.
-	cfg, band, err := PresetConfig(Preset2Bit, Stochastic)
+	cfg, _, err := PresetConfig(Preset2Bit, Stochastic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +148,6 @@ func TestPresetConfigTable1(t *testing.T) {
 	}
 	if cfg.Stoch.GammaPot != 0.2 || cfg.Stoch.TauPotMS != 20 || cfg.Stoch.GammaDep != 0.2 || cfg.Stoch.TauDepMS != 10 {
 		t.Errorf("2bit stochastic params = %+v", cfg.Stoch)
-	}
-	if band.MinHz != 1 || band.MaxHz != 22 {
-		t.Errorf("2bit band = %+v", band)
 	}
 
 	cfg, _, _ = PresetConfig(Preset16Bit, Deterministic)
@@ -163,12 +161,33 @@ func TestPresetConfigTable1(t *testing.T) {
 		t.Errorf("16bit bounds = %+v", cfg.Det)
 	}
 
-	cfg, band, _ = PresetConfig(PresetHighFreq, Stochastic)
+	cfg, _, _ = PresetConfig(PresetHighFreq, Stochastic)
 	if cfg.Stoch.GammaPot != 0.3 || cfg.Stoch.TauPotMS != 80 || cfg.Stoch.GammaDep != 0.2 || cfg.Stoch.TauDepMS != 5 {
 		t.Errorf("highfreq stochastic params = %+v", cfg.Stoch)
 	}
-	if band.MinHz != 5 || band.MaxHz != 78 {
-		t.Errorf("highfreq band = %+v", band)
+
+	// Each row's operating point, under either rule: the five precision
+	// rows run the 1–22 Hz / 500 ms baseline, highfreq the 5–78 Hz /
+	// 100 ms fast-learning control (§IV-C). Callers take the control from
+	// here instead of special-casing highfreq.
+	want := map[Preset]encode.Control{
+		Preset2Bit:     {Band: encode.Band{MinHz: 1, MaxHz: 22}, TLearnMS: 500},
+		Preset4Bit:     {Band: encode.Band{MinHz: 1, MaxHz: 22}, TLearnMS: 500},
+		Preset8Bit:     {Band: encode.Band{MinHz: 1, MaxHz: 22}, TLearnMS: 500},
+		Preset16Bit:    {Band: encode.Band{MinHz: 1, MaxHz: 22}, TLearnMS: 500},
+		PresetFloat:    {Band: encode.Band{MinHz: 1, MaxHz: 22}, TLearnMS: 500},
+		PresetHighFreq: {Band: encode.Band{MinHz: 5, MaxHz: 78}, TLearnMS: 100},
+	}
+	for _, p := range PresetNames() {
+		for _, kind := range []RuleKind{Deterministic, Stochastic} {
+			_, ctl, err := PresetConfig(p, kind)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", p, kind, err)
+			}
+			if w, ok := want[p]; !ok || ctl != w {
+				t.Errorf("%s/%v control = %+v, want %+v", p, kind, ctl, w)
+			}
+		}
 	}
 
 	if _, _, err := PresetConfig(Preset("bogus"), Stochastic); err == nil {
