@@ -74,9 +74,14 @@ type plasticityBench struct {
 // fixed.Packing kernels the sealed synapse.Matrix uses (DESIGN.md §14).
 // Both sides must finish in the same weight state and the same currents;
 // the speedup is pure lane parallelism. The multi_* fields time the
-// step-shaped integrate on their own: a train-fast-like step's spiking
-// rows added one row at a time (AccumulateRange per row) against the
-// register-blocked AccumulateRows, which must produce the same currents.
+// step-shaped integrate on their own: a train-fast-like step's current
+// decay and spiking rows, a decay pass and then one row at a time
+// (AccumulateRange per row), against the fused, register-blocked
+// AccumulateRows, which must produce the same currents. IntegrateKernel
+// names the kernel AccumulateRows ran: "avx2" or "go" (fixed.AVX2). The
+// multi_go_* fields time the same blocked pass on the Go kernel
+// (AccumulateRowsGo), so its register blocking stays measured on hosts
+// that run the AVX2 kernel.
 type swarBench struct {
 	Format        string  `json:"format"`
 	Lanes         int     `json:"lanes"`
@@ -94,6 +99,9 @@ type swarBench struct {
 	MultiPerRowNs    int64   `json:"multi_per_row_ns"`
 	MultiBlockedNs   int64   `json:"multi_blocked_ns"`
 	MultiSpeedup     float64 `json:"multi_speedup"` // multi_per_row_ns / multi_blocked_ns
+	IntegrateKernel  string  `json:"integrate_kernel"`
+	MultiGoBlockedNs int64   `json:"multi_go_blocked_ns"`
+	MultiGoSpeedup   float64 `json:"multi_go_speedup"` // multi_per_row_ns / multi_go_blocked_ns
 }
 
 // encodeBench is the dense-scan vs sparse event-stream encode comparison
@@ -866,7 +874,7 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 	if err := sameBits("scalar and packed integrate (current)", scalarCur, swarCur); err != nil {
 		return swarBench{}, err
 	}
-	perRow, blocked, err := multiRowProbe(pk, codes, nPre, nPost, amp)
+	perRow, blocked, goBlocked, err := multiRowProbe(pk, codes, nPre, nPost, amp)
 	if err != nil {
 		return swarBench{}, err
 	}
@@ -890,24 +898,40 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 		MultiPerRowNs:    perRow.Nanoseconds(),
 		MultiBlockedNs:   blocked.Nanoseconds(),
 		MultiSpeedup:     float64(perRow) / float64(blocked),
+		IntegrateKernel:  integrateKernel(),
+		MultiGoBlockedNs: goBlocked.Nanoseconds(),
+		MultiGoSpeedup:   float64(perRow) / float64(goBlocked),
 	}, nil
 }
 
 // multiRowProbe's step shape: train-fast averages 8.65 input spikes per
-// step, and one worker of the 2-worker pool owns 500 of the 1000 neurons.
+// step, and the step core integrates the whole 1000-neuron layer inline
+// (DESIGN.md §16.4), decaying the current by exp(−dt/τ_syn) = exp(−1/4)
+// first.
 const (
 	multiRowsPerStep = 9
-	multiLanes       = 500
+	multiLanes       = 1000
 	multiSteps       = 2000
 )
 
+// integrateKernel names the kernel fixed.AccumulateRows runs its 8-bit
+// blocks on in this build and on this host.
+func integrateKernel() string {
+	if fixed.AVX2() {
+		return "avx2"
+	}
+	return "go"
+}
+
 // multiRowProbe times train-fast's integrate step shape over the probe's
-// codes: each of multiSteps steps adds multiRowsPerStep spiking rows into
-// multiLanes currents. The per-row pass calls AccumulateRange once per
-// spiking row, the form the network used before AccumulateRows; the
-// blocked pass calls AccumulateRows once per step. Both must leave
+// codes: each of multiSteps steps decays multiLanes currents and adds
+// multiRowsPerStep spiking rows into them. The per-row pass runs a decay
+// pass and then AccumulateRange once per spiking row, the form the network
+// used before AccumulateRows; the blocked pass calls AccumulateRows once
+// per step, and the Go blocked pass AccumulateRowsGo. All three must leave
 // bit-identical currents. Best of three interleaved trials per side.
-func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float64) (perRow, blocked time.Duration, err error) {
+func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float64) (perRow, blocked, goBlocked time.Duration, err error) {
+	decay := math.Exp(-0.25)
 	words := pk.Pack(codes)
 	wpr := pk.WordsFor(nPost)
 	// Ascending spike lists, as plan replay delivers them, spread over the
@@ -925,25 +949,32 @@ func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float
 		cur := make([]float64, multiLanes)
 		start := time.Now()
 		for _, step := range rows {
+			for i := range cur {
+				cur[i] *= decay
+			}
 			for _, pre := range step {
 				pk.AccumulateRange(words[pre*wpr:(pre+1)*wpr], amp, cur, 0, multiLanes)
 			}
 		}
 		return time.Since(start), cur
 	}
-	blockedPass := func() (time.Duration, []float64) {
+	blockedPass := func(accumulate func(words []fixed.Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int)) (time.Duration, []float64) {
 		cur := make([]float64, multiLanes)
 		start := time.Now()
 		for _, step := range rows {
-			pk.AccumulateRows(words, wpr, step, amp, cur, 0, multiLanes)
+			accumulate(words, wpr, step, amp, decay, cur, 0, multiLanes)
 		}
 		return time.Since(start), cur
 	}
 	for trial := 0; trial < 3; trial++ {
 		pd, pc := perRowPass()
-		bd, bc := blockedPass()
+		bd, bc := blockedPass(pk.AccumulateRows)
+		gd, gc := blockedPass(pk.AccumulateRowsGo)
 		if err := sameBits("per-row and blocked multi-row integrate (current)", pc, bc); err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
+		}
+		if err := sameBits("per-row and Go blocked multi-row integrate (current)", pc, gc); err != nil {
+			return 0, 0, 0, err
 		}
 		if trial == 0 || pd < perRow {
 			perRow = pd
@@ -951,8 +982,11 @@ func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float
 		if trial == 0 || bd < blocked {
 			blocked = bd
 		}
+		if trial == 0 || gd < goBlocked {
+			goBlocked = gd
+		}
 	}
-	return perRow, blocked, nil
+	return perRow, blocked, goBlocked, nil
 }
 
 // sameBits fails unless a and b hold the same float64 bit patterns.

@@ -1,0 +1,79 @@
+//go:build !race
+
+package fixed
+
+import "errors"
+
+// errRowRange is blocks8AVX2's panic for a spike row whose words lie
+// outside the matrix.
+var errRowRange = errors.New("fixed: spike row outside the packed matrix")
+
+// avx2 reports whether this host runs the AVX2 kernels: the CPU has AVX2
+// and the operating system saves the YMM registers across context
+// switches. It is read once, at package initialization.
+var avx2 = detectAVX2()
+
+func detectAVX2() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	if ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&0b110 != 0b110 { // XMM and YMM state
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<5) != 0
+}
+
+// blocks8 runs AccumulateRows' 8-bit blocks over the block-aligned lanes
+// [lo, hi) on the AVX2 kernel, or on blocks8Go where the host lacks AVX2.
+func (p *Packing) blocks8(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	if !avx2 {
+		p.blocks8Go(words, stride, rows, amp, decay, cur, lo, hi)
+		return
+	}
+	p.blocks8AVX2(words, stride, rows, amp, decay, cur, lo, hi)
+}
+
+// blocks8AVX2 is blocks8Go on the AVX2 kernel. The assembly checks no
+// bounds, so every row is checked here against the words it will read,
+// and a row outside the matrix panics, as the Go kernel's indexing would.
+//
+//psslint:noalloc
+func (p *Packing) blocks8AVX2(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	wlo, whi := lo/blockLanes, hi/blockLanes
+	for _, r := range rows {
+		if uint(r) >= uint(len(words)) || r*stride+whi > len(words) {
+			panic(errRowRange)
+		}
+	}
+	accumulate8AVX2(words[wlo:], stride, rows, p.step, amp, decay, cur[lo:hi])
+}
+
+// accumulate8AVX2 is the fused decay and accumulate of 8-bit lanes, eight
+// lanes per block and len(cur)/8 blocks. Block k loads cur[8k:8k+8] and
+// scales it by decay (clears it when decay is ±0), then, for each row r in
+// rows order, widens the eight codes of words[r·stride+k] to int32
+// (VPMOVZXBD), converts them to float64 (VCVTDQ2PD), multiplies by step
+// and then by amp, and adds; then it stores the block. code·step is exact,
+// so each product is the amp-scaled LUT entry accumulateBlocks8 adds, and
+// no instruction fuses a multiply into an add.
+//
+//go:noescape
+func accumulate8AVX2(words []Word, stride int, rows []int, step, amp, decay float64, cur []float64)
+
+// cpuid executes CPUID with EAX = leaf and ECX = sub.
+//
+//go:noescape
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads extended control register 0 (XCR0). Call it only where
+// CPUID reports OSXSAVE.
+//
+//go:noescape
+func xgetbv() (eax, edx uint32)

@@ -51,8 +51,9 @@ func TestNoAllocAccumulateRows(t *testing.T) {
 		words := make([]Word, 3*stride)
 		cur := make([]float64, n)
 		avg := testing.AllocsPerRun(100, func() {
-			pk.AccumulateRows(words, stride, rows, 0.5, cur, 0, n)
-			pk.AccumulateRows(words, stride, rows, 0.5, cur, 3, 7) // no full block
+			pk.AccumulateRows(words, stride, rows, 0.5, 0.75, cur, 0, n)
+			pk.AccumulateRows(words, stride, rows, 0.5, 0.75, cur, 3, 7) // no full block
+			pk.AccumulateRowsGo(words, stride, rows, 0.5, 0.75, cur, 0, n)
 		})
 		if avg != 0 {
 			t.Errorf("%s: AccumulateRows allocates %.1f per run, want 0", f, avg)

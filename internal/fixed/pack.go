@@ -350,10 +350,11 @@ func (p *Packing) AccumulateRange(words []Word, amp float64, cur []float64, lo, 
 // exactly two words.
 const blockLanes = 8
 
-// AccumulateRows adds Value(code)·amp of every row listed in rows into
-// cur[i], for each lane i in [lo, hi) — eq. 3 for one step's spiking
-// inputs at once. words holds the rows back to back, stride words each, so
-// row r starts at words[r·stride].
+// AccumulateRows is eq. 3 for one step over the lanes [lo, hi): it first
+// decays each current, cur[i] *= decay, or clears it when decay is 0, and
+// then adds Value(code)·amp of every row listed in rows into cur[i]. words
+// holds the rows back to back, stride words each, so row r starts at
+// words[r·stride]. A decay of 1 leaves the currents as they are.
 //
 // The per-row form (AccumulateRange once per row) loads, updates and
 // stores every cur[i] once per row. Here each block of blockLanes lanes is
@@ -365,35 +366,92 @@ const blockLanes = 8
 // as they would there. Lanes before the first and after the last full
 // block take the per-row form.
 //
+// 8-bit lanes (Q1.7) run their blocks on the AVX2 kernel where the host
+// has it (see AVX2), with the decay fused into the block's load; it adds
+// the same products in the same order, so the currents do not depend on
+// the kernel.
+//
 //psslint:noalloc
-func (p *Packing) AccumulateRows(words []Word, stride int, rows []int, amp float64, cur []float64, lo, hi int) {
-	if len(rows) == 0 || lo >= hi {
+func (p *Packing) AccumulateRows(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	p.accumulateRows(words, stride, rows, amp, decay, cur, lo, hi, false)
+}
+
+// AccumulateRowsGo is AccumulateRows with its 8-bit blocks on the Go
+// kernel whatever the build and host: the kernel race builds, builds off
+// amd64 and CPUs without AVX2 run, and the oracle of the AVX2 kernel. The
+// currents are bit-identical to AccumulateRows'. It lets a benchmark time
+// the Go kernel on a host that runs the AVX2 one.
+//
+//psslint:noalloc
+func (p *Packing) AccumulateRowsGo(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	p.accumulateRows(words, stride, rows, amp, decay, cur, lo, hi, true)
+}
+
+// accumulateRows is AccumulateRows; goBlocks keeps its 8-bit blocks on
+// the Go kernel.
+//
+//psslint:noalloc
+func (p *Packing) accumulateRows(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int, goBlocks bool) {
+	if lo >= hi {
 		return
 	}
 	blo := (lo + blockLanes - 1) &^ (blockLanes - 1)
 	bhi := hi &^ (blockLanes - 1)
-	if blo >= bhi || (p.lut == nil && p.width != 16) {
-		// No full block, or 32-bit lanes (two per word), which only a
-		// hand-built Format literal reaches: NewFormat caps formats at 31
-		// bits.
+	if len(rows) == 0 || blo >= bhi || (p.lut == nil && p.width != 16) {
+		// Nothing to add, no full block, or 32-bit lanes (two per word),
+		// which only a hand-built Format literal reaches: NewFormat caps
+		// formats at 31 bits.
+		decayRange(cur[lo:hi], decay)
 		p.accumulateEach(words, stride, rows, amp, cur, lo, hi)
 		return
 	}
+	decayRange(cur[lo:blo], decay)
 	p.accumulateEach(words, stride, rows, amp, cur, lo, blo)
-	if p.lut != nil {
+	switch {
+	case p.width == 8 && goBlocks:
+		p.blocks8Go(words, stride, rows, amp, decay, cur, blo, bhi)
+	case p.width == 8:
+		p.blocks8(words, stride, rows, amp, decay, cur, blo, bhi)
+	case p.lut != nil:
+		decayRange(cur[blo:bhi], decay)
 		var t [256]float64
 		for c, v := range p.lut {
 			t[c] = v * amp
 		}
-		if p.width == 8 {
-			accumulateBlocks8(words, stride, rows, &t, cur, blo, bhi)
-		} else {
-			p.accumulateBlocksLUT(words, stride, rows, &t, cur, blo, bhi)
-		}
-	} else {
+		p.accumulateBlocksLUT(words, stride, rows, &t, cur, blo, bhi)
+	default:
+		decayRange(cur[blo:bhi], decay)
 		p.accumulateBlocks16(words, stride, rows, amp, cur, blo, bhi)
 	}
+	decayRange(cur[bhi:hi], decay)
 	p.accumulateEach(words, stride, rows, amp, cur, bhi, hi)
+}
+
+// decayRange scales every current by decay, or clears it when decay is 0:
+// the synaptic trace's decay before a step's spikes add into it.
+func decayRange(cur []float64, decay float64) {
+	if decay == 0 {
+		clear(cur)
+		return
+	}
+	for i := range cur {
+		cur[i] *= decay
+	}
+}
+
+// blocks8Go is the Go form of AccumulateRows' 8-bit blocks over the
+// block-aligned lanes [lo, hi): the decay pass, then accumulateBlocks8 over
+// the amp-scaled LUT. It is the oracle of the AVX2 kernel and the fallback
+// where that kernel does not run.
+//
+//psslint:noalloc
+func (p *Packing) blocks8Go(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	decayRange(cur[lo:hi], decay)
+	var t [256]float64
+	for c, v := range p.lut {
+		t[c] = v * amp
+	}
+	accumulateBlocks8(words, stride, rows, &t, cur, lo, hi)
 }
 
 // accumulateEach is the per-row form of AccumulateRows.
@@ -492,3 +550,9 @@ func (p *Packing) accumulateBlocks16(words []Word, stride int, rows []int, amp f
 		c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7] = a0, a1, a2, a3, a4, a5, a6, a7
 	}
 }
+
+// AVX2 reports whether this build runs the AVX2 assembly kernels on this
+// host: the 8-bit blocks of AccumulateRows here and the LIF step of
+// neuron.Population.CandidatesRange. It is false off amd64, on a CPU
+// without AVX2 and in race builds, which run the Go kernels.
+func AVX2() bool { return avx2 }

@@ -1,6 +1,7 @@
 package fixed
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,35 +31,65 @@ func rowsFixture(p *Packing, r *rand.Rand, nRows, n int) (words []Word, stride i
 }
 
 // perRowAccumulate is the reference AccumulateRows must match bit for bit:
-// one AccumulateRange call per listed row, in list order.
-func perRowAccumulate(p *Packing, words []Word, stride int, rows []int, amp float64, cur []float64, lo, hi int) {
+// the decay (a clear when decay is 0) of every lane in [lo, hi), then one
+// AccumulateRange call per listed row, in list order.
+func perRowAccumulate(p *Packing, words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if decay == 0 {
+			cur[i] = 0
+		} else {
+			cur[i] *= decay
+		}
+	}
 	for _, r := range rows {
 		p.AccumulateRange(words[r*stride:(r+1)*stride], amp, cur, lo, hi)
 	}
 }
 
-// checkRowsMatch runs AccumulateRows and the per-row reference from the
-// same starting currents and fails on any bit difference, inside or
-// outside [lo, hi).
-func checkRowsMatch(t *testing.T, p *Packing, words []Word, stride int, rows []int, amp float64, start []float64, lo, hi int) {
+// sameCurrents fails on the first lane whose bits differ.
+func sameCurrents(t *testing.T, what string, got, want []float64) {
 	t.Helper()
-	got := append([]float64(nil), start...)
-	want := append([]float64(nil), start...)
-	p.AccumulateRows(words, stride, rows, amp, got, lo, hi)
-	perRowAccumulate(p, words, stride, rows, amp, want, lo, hi)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s n=%d [%d,%d) rows=%v amp=%v: cur[%d] = %v, per-row %v",
-				p.Format(), len(start), lo, hi, rows, amp, i, got[i], want[i])
+			t.Fatalf("%s: cur[%d] = %v, want %v", what, i, got[i], want[i])
 		}
 	}
+}
+
+// checkRowsMatch runs AccumulateRows, AccumulateRowsGo and the per-row
+// reference from the same starting currents and fails on any bit
+// difference, inside or outside [lo, hi). For 8-bit lanes on a build and
+// host that run the AVX2 block kernel, it also runs that kernel's entry
+// directly against the Go block kernel over the whole blocks of [lo, hi).
+func checkRowsMatch(t *testing.T, p *Packing, words []Word, stride int, rows []int, amp, decay float64, start []float64, lo, hi int) {
+	t.Helper()
+	what := fmt.Sprintf("%s n=%d [%d,%d) rows=%v amp=%v decay=%v", p.Format(), len(start), lo, hi, rows, amp, decay)
+	got := append([]float64(nil), start...)
+	want := append([]float64(nil), start...)
+	p.AccumulateRows(words, stride, rows, amp, decay, got, lo, hi)
+	perRowAccumulate(p, words, stride, rows, amp, decay, want, lo, hi)
+	sameCurrents(t, what, got, want)
+	copy(got, start)
+	p.AccumulateRowsGo(words, stride, rows, amp, decay, got, lo, hi)
+	sameCurrents(t, what+" Go blocks", got, want)
+
+	blo := (lo + blockLanes - 1) &^ (blockLanes - 1)
+	bhi := hi &^ (blockLanes - 1)
+	if p.Width() != 8 || !avx2 || blo >= bhi {
+		return
+	}
+	copy(got, start)
+	copy(want, start)
+	p.blocks8(words, stride, rows, amp, decay, got, blo, bhi)
+	p.blocks8Go(words, stride, rows, amp, decay, want, blo, bhi)
+	sameCurrents(t, what+" AVX2 blocks", got, want)
 }
 
 // TestAccumulateRowsMatchesPerRow: the register-blocked kernel is
 // bit-identical to the per-row loop for every packable format, lane counts
 // that are not multiples of the word or block width, unaligned windows
-// (including windows with no full block), and empty, duplicate and
-// unsorted row lists.
+// (including windows with no full block), empty, duplicate and unsorted
+// row lists, and decays of 1, ±0 (a clear) and between.
 func TestAccumulateRowsMatchesPerRow(t *testing.T) {
 	r := rand.New(rand.NewSource(0x5ba7))
 	for _, f := range rowsFormats {
@@ -93,24 +124,50 @@ func TestAccumulateRowsMatchesPerRow(t *testing.T) {
 			if n >= 16 {
 				windows = append(windows, [2]int{1, 7}, [2]int{3, 11}, [2]int{8, 16}, [2]int{9, n - 1})
 			}
-			for _, rows := range rowSets {
+			decays := []float64{1, 0, math.Copysign(0, -1), math.Exp(-0.25), r.Float64()}
+			for k, rows := range rowSets {
 				for _, w := range windows {
 					amp := r.NormFloat64() * 3
-					checkRowsMatch(t, p, words, stride, rows, amp, start, w[0], w[1])
+					checkRowsMatch(t, p, words, stride, rows, amp, decays[k%len(decays)], start, w[0], w[1])
 				}
 			}
 		}
 	}
 }
 
+// TestAccumulateRowsRejectsRowOutsideMatrix: a spike row past the last
+// row of the matrix panics on every kernel rather than reading past the
+// words.
+func TestAccumulateRowsRejectsRowOutsideMatrix(t *testing.T) {
+	for _, f := range packableFormats {
+		p := mustPacking(t, f)
+		words, stride := rowsFixture(p, rand.New(rand.NewSource(1)), 4, 64)
+		for _, row := range []int{4, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: row %d of a 4-row matrix did not panic", f, row)
+					}
+				}()
+				p.AccumulateRows(words, stride, []int{0, row}, 1, 0.5, make([]float64, 64), 0, 64)
+			}()
+		}
+	}
+}
+
 // FuzzAccumulateRows is the differential of TestAccumulateRowsMatchesPerRow
-// under fuzzer-chosen geometry, windows, row lists and amplitudes.
+// under fuzzer-chosen geometry, windows, row lists, amplitudes and decays.
+// The decay is a trace decay factor, drawn from [0, 1] with both ends
+// exact: a NaN decay would put two NaNs of different payloads into one
+// add, whose result Go does not define.
 func FuzzAccumulateRows(f *testing.F) {
-	f.Add(uint8(2), uint16(1000), uint16(334), uint16(667), []byte{0, 3, 3, 9}, 0.6, int64(1))
-	f.Add(uint8(0), uint16(37), uint16(5), uint16(6), []byte{}, -1.5, int64(2))
-	f.Add(uint8(3), uint16(13), uint16(0), uint16(13), []byte{7, 7, 7}, 1e-300, int64(3))
-	f.Add(uint8(1), uint16(64), uint16(8), uint16(56), []byte{1, 0}, math.Inf(1), int64(4))
-	f.Fuzz(func(t *testing.T, fmtSel uint8, n, lo, hi uint16, rowBytes []byte, amp float64, seed int64) {
+	f.Add(uint8(2), uint16(1000), uint16(334), uint16(667), []byte{0, 3, 3, 9}, 0.6, uint16(51040), int64(1))
+	f.Add(uint8(2), uint16(1000), uint16(0), uint16(1000), []byte{0, 3, 3, 9, 1, 2, 15, 8, 4}, 0.6, uint16(0), int64(5))
+	f.Add(uint8(0), uint16(37), uint16(5), uint16(6), []byte{}, -1.5, uint16(math.MaxUint16), int64(2))
+	f.Add(uint8(3), uint16(13), uint16(0), uint16(13), []byte{7, 7, 7}, 1e-300, uint16(1), int64(3))
+	f.Add(uint8(1), uint16(64), uint16(8), uint16(56), []byte{1, 0}, math.Inf(1), uint16(40000), int64(4))
+	f.Fuzz(func(t *testing.T, fmtSel uint8, n, lo, hi uint16, rowBytes []byte, amp float64, decayBits uint16, seed int64) {
+		decay := float64(decayBits) / math.MaxUint16
 		p := mustPacking(t, rowsFormats[int(fmtSel)%len(rowsFormats)])
 		nn := int(n)%1200 + 1
 		l, h := int(lo)%(nn+1), int(hi)%(nn+1)
@@ -128,15 +185,17 @@ func FuzzAccumulateRows(f *testing.F) {
 		for i := range start {
 			start[i] = r.NormFloat64()
 		}
-		checkRowsMatch(t, p, words, stride, rows, amp, start, l, h)
+		checkRowsMatch(t, p, words, stride, rows, amp, decay, start, l, h)
 	})
 }
 
 // BenchmarkAccumulateRows compares one train-fast step's integrate work —
-// 9 spiking rows over one worker's 500-lane half of a 1000-neuron layer —
-// done per row and register-blocked.
+// the current decay and 9 spiking rows over the whole 1000-neuron layer,
+// as network.Core runs it — done per row after a decay pass, and fused
+// and register-blocked.
 func BenchmarkAccumulateRows(b *testing.B) {
 	r := rand.New(rand.NewSource(9))
+	decay := math.Exp(-0.25) // dt 1 ms, tau_syn 4 ms
 	for _, f := range packableFormats {
 		p := mustPacking(b, f)
 		words, stride := rowsFixture(p, r, 784, 1000)
@@ -144,12 +203,12 @@ func BenchmarkAccumulateRows(b *testing.B) {
 		cur := make([]float64, 1000)
 		b.Run(f.String()+"/per-row", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				perRowAccumulate(p, words, stride, rows, 0.6, cur, 0, 500)
+				perRowAccumulate(p, words, stride, rows, 0.6, decay, cur, 0, 1000)
 			}
 		})
 		b.Run(f.String()+"/blocked", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.AccumulateRows(words, stride, rows, 0.6, cur, 0, 500)
+				p.AccumulateRows(words, stride, rows, 0.6, decay, cur, 0, 1000)
 			}
 		})
 	}

@@ -199,10 +199,10 @@ func (c *Core) Run() int { return c.run(nil) }
 //
 //  1. replay the step's input spikes from the sparse plan, ascending by
 //     pixel — the order that fixes the float summation order below;
-//  2. integrate over the whole neuron range: decay the synaptic current,
-//     accumulate the input spikes into it (eq. 3) with the multi-row
-//     synapse kernel, and step the LIF membranes (eqs. 1–2), collecting
-//     threshold crossers without committing their spikes;
+//  2. integrate over the whole neuron range: decay the synaptic current
+//     and accumulate the input spikes into it (eq. 3) in one pass of the
+//     multi-row synapse kernel, then step the LIF membranes (eqs. 1–2),
+//     collecting threshold crossers without committing their spikes;
 //  3. winner-take-all: with inhibition enabled only the strongest crosser
 //     fires — it would have crossed first in continuous time — and its
 //     layer-2 relay inhibits every other neuron for t_inh; the losers are
@@ -253,14 +253,7 @@ func (c *Core) run(h *trainHook) int {
 		}
 
 		t = c.obsIntegrate.Start()
-		if decay == 0 {
-			clear(cur)
-		} else {
-			for i := range cur {
-				cur[i] *= decay
-			}
-		}
-		c.syn.AccumulateSpikesRange(in, c.amp, cur, 0, len(cur))
+		c.syn.AccumulateSpikesRange(in, c.amp, decay, cur, 0, len(cur))
 		cand = pop.CandidatesRange(0, len(cur), c.dt, now, cur, cand[:0])
 		c.obsIntegrate.Stop(t)
 

@@ -224,38 +224,14 @@ func (p *Population) Inhibited(i int, now float64) bool {
 //   - otherwise v += dt·(A + B·v + C·I);
 //   - if v > VThreshold: record a spike, reset v, start refractory timer.
 //
+// It is CandidatesRange with every candidate fired: there is one LIF body.
+//
 //psslint:noalloc
 func (p *Population) StepRange(lo, hi int, dt, now float64, current []float64, spikes []int) []int {
-	prm := p.Params
-	adapt := prm.ThetaPlus > 0 && !p.FreezeTheta
-	thetaDecay := 1.0
-	if adapt {
-		thetaDecay = math.Exp(-dt / prm.ThetaDecayMS)
-	}
-	for i := lo; i < hi; i++ {
-		if adapt {
-			p.theta[i] *= thetaDecay
-		}
-		if now < p.inhibitedTill[i] || now < p.refractoryTill[i] {
-			p.V[i] = prm.VReset
-			continue
-		}
-		v := p.V[i]
-		v += dt * (prm.A + prm.B*v + prm.C*current[i])
-		if check.Enabled {
-			check.Finite("neuron: membrane after Euler step", v)
-		}
-		if v > prm.VThreshold+p.theta[i] {
-			p.V[i] = prm.VReset
-			p.refractoryTill[i] = now + prm.RefractoryMS
-			if adapt {
-				p.theta[i] += prm.ThetaPlus
-			}
-			p.spikeCount[i]++
-			spikes = append(spikes, i)
-			continue
-		}
-		p.V[i] = v
+	n := len(spikes)
+	spikes = p.CandidatesRange(lo, hi, dt, now, current, spikes)
+	for _, i := range spikes[n:] {
+		p.Fire(i, now)
 	}
 	return spikes
 }
@@ -267,19 +243,37 @@ func (p *Population) StepAll(dt, now float64, current []float64, spikes []int) [
 
 // CandidatesRange integrates neurons [lo, hi) one Euler step like StepRange
 // but does NOT commit spikes: neurons whose membrane crosses threshold are
-// left above threshold and their indices appended to out. The caller then
-// decides which candidates actually fire (Fire) and which are suppressed
-// (Suppress) — the mechanism behind intra-step winner-take-all, where the
-// earliest crosser's layer-2 inhibition must beat same-step rivals.
+// left above threshold and their indices appended to out, ascending. The
+// caller then decides which candidates actually fire (Fire) and which are
+// suppressed (Suppress) — the mechanism behind intra-step winner-take-all,
+// where the earliest crosser's layer-2 inhibition must beat same-step
+// rivals.
+//
+// Where fixed.AVX2 holds, the AVX2 kernel steps the lanes four at a time
+// and candidatesGo the at most three left over; the kernel rounds every
+// operation as candidatesGo does, so the membranes, thresholds and
+// candidates do not depend on which ran.
 //
 //psslint:noalloc
 func (p *Population) CandidatesRange(lo, hi int, dt, now float64, current []float64, out []int) []int {
-	prm := p.Params
-	adapt := prm.ThetaPlus > 0 && !p.FreezeTheta
+	adapt := p.Params.ThetaPlus > 0 && !p.FreezeTheta
 	thetaDecay := 1.0
 	if adapt {
-		thetaDecay = math.Exp(-dt / prm.ThetaDecayMS)
+		thetaDecay = math.Exp(-dt / p.Params.ThetaDecayMS)
 	}
+	lo, out = p.candidatesVec(lo, hi, dt, now, thetaDecay, adapt, current, out)
+	return p.candidatesGo(lo, hi, dt, now, thetaDecay, adapt, current, out)
+}
+
+// candidatesGo is CandidatesRange's scalar body, one lane at a time: the
+// oracle of the AVX2 kernel and the fallback for the lanes it leaves.
+// Each lane decays theta unless adaptation is off, holds at VReset while
+// inhibited or refractory, and otherwise takes the Euler step and is a
+// candidate when it exceeds VThreshold + theta.
+//
+//psslint:noalloc
+func (p *Population) candidatesGo(lo, hi int, dt, now, thetaDecay float64, adapt bool, current []float64, out []int) []int {
+	prm := &p.Params
 	for i := lo; i < hi; i++ {
 		if adapt {
 			p.theta[i] *= thetaDecay
@@ -289,7 +283,10 @@ func (p *Population) CandidatesRange(lo, hi int, dt, now float64, current []floa
 			continue
 		}
 		v := p.V[i]
-		v += dt * (prm.A + prm.B*v + prm.C*current[i])
+		// The conversions round each product before its add, so no
+		// compiler fuses them into FMAs, which the AVX2 kernel does not
+		// use.
+		v += float64(dt * (prm.A + float64(prm.B*v) + float64(prm.C*current[i])))
 		if check.Enabled {
 			check.Finite("neuron: membrane after Euler step", v)
 		}

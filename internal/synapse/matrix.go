@@ -230,21 +230,29 @@ func (m *Matrix) Stats() (minG, maxG, mean float64) {
 	return minG, maxG, sum / float64(m.Len())
 }
 
-// AccumulateSpikesRange adds g(pre, i)·amp into current[i] for every input
-// pre in pres, in pres order, and every post neuron i in [lo, hi) — eq. 3
-// for one step's spiking inputs over the post range the engine hands one
-// worker. The step core (network.Core) integrates through it for training
-// and inference alike. On the packed store it runs fixed's
-// register-blocked AccumulateRows, which reads each spiking row's words
-// once per block of lanes and keeps the block's currents in registers
-// across the rows; the float fallback walks the rows one at a time. Either
-// way the sums are bit-identical to adding the rows one by one.
+// AccumulateSpikesRange is eq. 3 for one step over the post neurons
+// [lo, hi): it decays each current[i] by decay (clears it when decay is 0)
+// and then adds g(pre, i)·amp for every input pre in pres, in pres order.
+// The step core (network.Core) integrates through it for training and
+// inference alike. On the packed store it runs fixed's register-blocked
+// AccumulateRows, which reads each spiking row's words once per block of
+// lanes and keeps the block's currents in registers across the rows, with
+// the decay fused into the block's load; the float fallback walks the rows
+// one at a time. Either way the currents are bit-identical to a decay pass
+// followed by adding the rows one by one.
 //
 //psslint:noalloc
-func (m *Matrix) AccumulateSpikesRange(pres []int, amp float64, current []float64, lo, hi int) {
+func (m *Matrix) AccumulateSpikesRange(pres []int, amp, decay float64, current []float64, lo, hi int) {
 	if m.pk != nil {
-		m.pk.AccumulateRows(m.words, m.wpr, pres, amp, current, lo, hi)
+		m.pk.AccumulateRows(m.words, m.wpr, pres, amp, decay, current, lo, hi)
 		return
+	}
+	if decay == 0 {
+		clear(current[lo:hi])
+	} else {
+		for i := lo; i < hi; i++ {
+			current[i] *= decay
+		}
 	}
 	for _, pre := range pres {
 		row := m.g[pre*m.NPost : (pre+1)*m.NPost]

@@ -1,6 +1,7 @@
 package synapse
 
 import (
+	"math"
 	"testing"
 
 	"parallelspikesim/internal/fixed"
@@ -144,10 +145,10 @@ func TestMatrixCloneIsDeep(t *testing.T) {
 }
 
 // TestAccumulateSpikesRangeMatchesAt: the multi-row integrate entry is
-// bit-identical to summing At(pre, i)·amp row by row in pres order, on the
-// packed stores and the float fallback, for post counts that are not a
-// multiple of any lane count, unaligned windows and empty or duplicate
-// spike lists.
+// bit-identical to a decay pass (a clear at decay 0) followed by summing
+// At(pre, i)·amp row by row in pres order, on the packed stores and the
+// float fallback, for post counts that are not a multiple of any lane
+// count, unaligned windows and empty or duplicate spike lists.
 func TestAccumulateSpikesRangeMatchesAt(t *testing.T) {
 	const nPre, amp = 7, 0.6
 	for _, f := range matrixFormats {
@@ -160,23 +161,28 @@ func TestAccumulateSpikesRangeMatchesAt(t *testing.T) {
 			spans := [][2]int{{0, nPost}, {3, 9}, {5, 5}, {1, nPost - 2}, {nPost / 3, 2 * nPost / 3}}
 			for _, pres := range [][]int{nil, {4}, {0, 2, 2, 6}, {6, 5, 4, 3, 2, 1, 0, 1, 3}} {
 				for _, span := range spans {
-					lo, hi := span[0], span[1]
-					got := make([]float64, nPost)
-					want := make([]float64, nPost)
-					for i := range got {
-						got[i] = float64(i) * 0.01
-						want[i] = got[i]
-					}
-					m.AccumulateSpikesRange(pres, amp, got, lo, hi)
-					for _, pre := range pres {
-						for i := lo; i < hi; i++ {
-							want[i] += float64(m.At(pre, i)) * amp
+					for _, decay := range []float64{1, 0, math.Exp(-0.25)} {
+						lo, hi := span[0], span[1]
+						got := make([]float64, nPost)
+						want := make([]float64, nPost)
+						for i := range got {
+							got[i] = float64(i) * 0.01
+							want[i] = got[i]
 						}
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%s nPost=%d pres=%v [%d,%d): current[%d] = %v, want %v",
-								f, nPost, pres, lo, hi, i, got[i], want[i])
+						m.AccumulateSpikesRange(pres, amp, decay, got, lo, hi)
+						for i := lo; i < hi; i++ {
+							want[i] *= decay
+						}
+						for _, pre := range pres {
+							for i := lo; i < hi; i++ {
+								want[i] += float64(float64(m.At(pre, i)) * amp)
+							}
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s nPost=%d pres=%v [%d,%d) decay=%v: current[%d] = %v, want %v",
+									f, nPost, pres, lo, hi, decay, i, got[i], want[i])
+							}
 						}
 					}
 				}

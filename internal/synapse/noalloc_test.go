@@ -34,8 +34,8 @@ func TestNoAllocAccumulateSpikesRange(t *testing.T) {
 		m.InitUniform(rng.NewStream(2), 0.1, 0.9)
 		cur := make([]float64, 45)
 		avg := testing.AllocsPerRun(50, func() {
-			m.AccumulateSpikesRange(pres, 0.6, cur, 0, 45) // register blocks + tail
-			m.AccumulateSpikesRange(pres, 0.6, cur, 3, 7)  // no full block
+			m.AccumulateSpikesRange(pres, 0.6, 0.75, cur, 0, 45) // register blocks + tail
+			m.AccumulateSpikesRange(pres, 0.6, 0.75, cur, 3, 7)  // no full block
 		})
 		if avg != 0 {
 			t.Errorf("%s: AccumulateSpikesRange allocates %.1f per run, want 0", f, avg)

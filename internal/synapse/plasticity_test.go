@@ -114,11 +114,11 @@ func TestAccumulateSpikesRangeAdds(t *testing.T) {
 	m.Set(0, 0, 0.5)
 	m.Set(0, 1, 0.25)
 	cur := make([]float64, 3)
-	m.AccumulateSpikesRange([]int{0}, 2.0, cur, 0, 3)
+	m.AccumulateSpikesRange([]int{0}, 2.0, 1, cur, 0, 3)
 	if cur[0] != 1.0 || cur[1] != 0.5 || cur[2] != 0 {
 		t.Fatalf("current = %v", cur)
 	}
-	m.AccumulateSpikesRange([]int{0}, 2.0, cur, 0, 3)
+	m.AccumulateSpikesRange([]int{0}, 2.0, 1, cur, 0, 3)
 	if cur[0] != 2.0 {
 		t.Fatal("AccumulateSpikesRange should add, not overwrite")
 	}
@@ -734,8 +734,8 @@ func BenchmarkStochasticPostSpikeTrainFast(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulateSpikesRange integrates one train-fast-like step: 9
-// spiking rows into a 1000-neuron layer.
+// BenchmarkAccumulateSpikesRange integrates one train-fast-like step: the
+// current decay and 9 spiking rows into a 1000-neuron layer.
 func BenchmarkAccumulateSpikesRange(b *testing.B) {
 	pres := []int{12, 87, 150, 151, 300, 402, 555, 610, 777}
 	for _, f := range []fixed.Format{fixed.Q1p7, fixed.Float32} {
@@ -744,7 +744,7 @@ func BenchmarkAccumulateSpikesRange(b *testing.B) {
 		cur := make([]float64, 1000)
 		b.Run(f.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.AccumulateSpikesRange(pres, 1.0, cur, 0, 1000)
+				m.AccumulateSpikesRange(pres, 1.0, math.Exp(-0.25), cur, 0, 1000)
 			}
 		})
 	}
