@@ -24,14 +24,16 @@ import (
 	"parallelspikesim/internal/registry"
 )
 
-// auditCases picks one case per quantization format off the golden grid,
-// covering both rules and all three widths without replaying all 18.
+// auditCases picks one case per conductance format off the golden grid,
+// covering both rules, all three widths and the float32 store without
+// replaying all 20.
 func auditCases(t *testing.T) []Case {
 	t.Helper()
 	want := map[string]bool{
 		"deterministic-2bit-trunc": true,
 		"stochastic-8bit-nearest":  true,
 		"stochastic-16bit-stoch":   true,
+		"deterministic-float32":    true,
 	}
 	var out []Case
 	for _, c := range Cases() {

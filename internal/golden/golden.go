@@ -65,10 +65,14 @@ func roundingSlug(r fixed.Rounding) string {
 }
 
 // Cases enumerates the golden grid: both rules × the paper's quantized
-// formats (Q0.2, Q1.7, Q1.15) × all three rounding modes.
+// formats (Q0.2, Q1.7, Q1.15) × all three rounding modes, then both rules
+// on the float32 store. Rounding is a no-op on float, so a float case runs
+// one rounding and its name carries none. The float cases come last, so
+// the quantized cases keep their indices.
 func Cases() []Case {
+	rules := []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic}
 	var out []Case
-	for _, rule := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
+	for _, rule := range rules {
 		for _, preset := range []synapse.Preset{synapse.Preset2Bit, synapse.Preset8Bit, synapse.Preset16Bit} {
 			for _, rounding := range []fixed.Rounding{fixed.Truncate, fixed.Nearest, fixed.Stochastic} {
 				out = append(out, Case{
@@ -79,6 +83,14 @@ func Cases() []Case {
 				})
 			}
 		}
+	}
+	for _, rule := range rules {
+		out = append(out, Case{
+			Name:     fmt.Sprintf("%s-%s", rule, synapse.PresetFloat),
+			Preset:   synapse.PresetFloat,
+			Rule:     rule,
+			Rounding: fixed.Nearest,
+		})
 	}
 	return out
 }

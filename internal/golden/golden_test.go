@@ -71,8 +71,8 @@ func assertInferTrace(t *testing.T, got InferTrace, want Trace) {
 
 func TestCasesCoverGrid(t *testing.T) {
 	cases := Cases()
-	if len(cases) != 18 { // 2 rules × 3 formats × 3 roundings
-		t.Fatalf("golden grid has %d cases, want 18", len(cases))
+	if len(cases) != 20 { // 2 rules × (3 formats × 3 roundings + float32)
+		t.Fatalf("golden grid has %d cases, want 20", len(cases))
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {

@@ -69,9 +69,10 @@ func trainConfig(t *testing.T, cfg network.Config, ctl encode.Control, opts ...i
 }
 
 // TestForwardMatchesPresent is the differential wall: across every golden
-// preset (both rules × Q0.2/Q1.7/Q1.15 × all roundings), infer.Forward must
-// be bit-identical in spike output to network.Present with plasticity
-// disabled, at the exact step counter Present ran with. Both step through
+// preset (both rules × Q0.2/Q1.7/Q1.15 × all roundings, and both rules on
+// float32), infer.Forward must be bit-identical in spike output to
+// network.Present with plasticity disabled, at the exact step counter
+// Present ran with. Both step through
 // network.Core, so a divergence names what surrounds it — encoding, clock
 // handling or spike-count bookkeeping — in a (rule, format, rounding) cell.
 //
