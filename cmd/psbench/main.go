@@ -81,7 +81,11 @@ type plasticityBench struct {
 // names the kernel AccumulateRows ran: "avx2" or "go" (fixed.AVX2). The
 // multi_go_* fields time the same blocked pass on the Go kernel
 // (AccumulateRowsGo), so its register blocking stays measured on hosts
-// that run the AVX2 kernel.
+// that run the AVX2 kernel. The float_multi_* fields time the same step on
+// the float store, the one psserve serves: the per-row Go loop
+// (AccumulateWeightRowsGo) against AccumulateWeightRows, which runs the
+// AVX2 kernel where IntegrateKernel is "avx2" and that same loop
+// elsewhere.
 type swarBench struct {
 	Format        string  `json:"format"`
 	Lanes         int     `json:"lanes"`
@@ -102,6 +106,10 @@ type swarBench struct {
 	IntegrateKernel  string  `json:"integrate_kernel"`
 	MultiGoBlockedNs int64   `json:"multi_go_blocked_ns"`
 	MultiGoSpeedup   float64 `json:"multi_go_speedup"` // multi_per_row_ns / multi_go_blocked_ns
+
+	FloatMultiPerRowNs  int64   `json:"float_multi_per_row_ns"`
+	FloatMultiBlockedNs int64   `json:"float_multi_blocked_ns"`
+	FloatMultiSpeedup   float64 `json:"float_multi_speedup"` // float_multi_per_row_ns / float_multi_blocked_ns
 }
 
 // encodeBench is the dense-scan vs sparse event-stream encode comparison
@@ -592,6 +600,10 @@ func main() {
 			sw.Format, sw.MultiRowsPerStep, sw.MultiLanes,
 			float64(sw.MultiPerRowNs)/1e3/float64(sw.MultiSteps), float64(sw.MultiBlockedNs)/1e3/float64(sw.MultiSteps),
 			sw.MultiSpeedup)
+		fmt.Printf("swar float32 multi-row (%d rows × %d lanes per step): per-row %.2f µs/step, blocked %.2f µs/step — %.2fx (%s)\n",
+			sw.MultiRowsPerStep, sw.MultiLanes,
+			float64(sw.FloatMultiPerRowNs)/1e3/float64(sw.MultiSteps), float64(sw.FloatMultiBlockedNs)/1e3/float64(sw.MultiSteps),
+			sw.FloatMultiSpeedup, sw.IntegrateKernel)
 	} else {
 		fmt.Printf("swar probe skipped: %s has no packed representation\n", probeFormat)
 	}
@@ -874,7 +886,7 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 	if err := sameBits("scalar and packed integrate (current)", scalarCur, swarCur); err != nil {
 		return swarBench{}, err
 	}
-	perRow, blocked, goBlocked, err := multiRowProbe(pk, codes, nPre, nPost, amp)
+	mt, err := multiRowProbe(pk, codes, nPre, nPost, amp)
 	if err != nil {
 		return swarBench{}, err
 	}
@@ -895,12 +907,16 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 		MultiRowsPerStep: multiRowsPerStep,
 		MultiLanes:       multiLanes,
 		MultiSteps:       multiSteps,
-		MultiPerRowNs:    perRow.Nanoseconds(),
-		MultiBlockedNs:   blocked.Nanoseconds(),
-		MultiSpeedup:     float64(perRow) / float64(blocked),
+		MultiPerRowNs:    mt.perRow.Nanoseconds(),
+		MultiBlockedNs:   mt.blocked.Nanoseconds(),
+		MultiSpeedup:     float64(mt.perRow) / float64(mt.blocked),
 		IntegrateKernel:  integrateKernel(),
-		MultiGoBlockedNs: goBlocked.Nanoseconds(),
-		MultiGoSpeedup:   float64(perRow) / float64(goBlocked),
+		MultiGoBlockedNs: mt.goBlocked.Nanoseconds(),
+		MultiGoSpeedup:   float64(mt.perRow) / float64(mt.goBlocked),
+
+		FloatMultiPerRowNs:  mt.floatPerRow.Nanoseconds(),
+		FloatMultiBlockedNs: mt.floatBlocked.Nanoseconds(),
+		FloatMultiSpeedup:   float64(mt.floatPerRow) / float64(mt.floatBlocked),
 	}, nil
 }
 
@@ -915,12 +931,19 @@ const (
 )
 
 // integrateKernel names the kernel fixed.AccumulateRows runs its 8-bit
-// blocks on in this build and on this host.
+// blocks on, and fixed.AccumulateWeightRows its float lanes, in this build
+// and on this host.
 func integrateKernel() string {
 	if fixed.AVX2() {
 		return "avx2"
 	}
 	return "go"
+}
+
+// multiRowTimes are multiRowProbe's best times per pass.
+type multiRowTimes struct {
+	perRow, blocked, goBlocked time.Duration
+	floatPerRow, floatBlocked  time.Duration
 }
 
 // multiRowProbe times train-fast's integrate step shape over the probe's
@@ -929,8 +952,12 @@ func integrateKernel() string {
 // pass and then AccumulateRange once per spiking row, the form the network
 // used before AccumulateRows; the blocked pass calls AccumulateRows once
 // per step, and the Go blocked pass AccumulateRowsGo. All three must leave
-// bit-identical currents. Best of three interleaved trials per side.
-func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float64) (perRow, blocked, goBlocked time.Duration, err error) {
+// bit-identical currents. The float passes run the same steps over an
+// nPre × multiLanes float store of full-mantissa weights in [0, 1]:
+// AccumulateWeightRowsGo, the per-row loop, and AccumulateWeightRows,
+// which must leave the same currents. Best of three interleaved trials per
+// side.
+func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float64) (mt multiRowTimes, err error) {
 	decay := math.Exp(-0.25)
 	words := pk.Pack(codes)
 	wpr := pk.WordsFor(nPost)
@@ -966,27 +993,45 @@ func multiRowProbe(pk *fixed.Packing, codes []uint32, nPre, nPost int, amp float
 		}
 		return time.Since(start), cur
 	}
+	g := make([]fixed.Weight, nPre*multiLanes)
+	for i := range g {
+		g[i] = fixed.Weight(float64(i*7919%1000) / 999)
+	}
+	floatPass := func(accumulate func(g []fixed.Weight, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int)) (time.Duration, []float64) {
+		cur := make([]float64, multiLanes)
+		start := time.Now()
+		for _, step := range rows {
+			accumulate(g, multiLanes, step, amp, decay, cur, 0, multiLanes)
+		}
+		return time.Since(start), cur
+	}
+	best := func(d *time.Duration, trial int, got time.Duration) {
+		if trial == 0 || got < *d {
+			*d = got
+		}
+	}
 	for trial := 0; trial < 3; trial++ {
 		pd, pc := perRowPass()
 		bd, bc := blockedPass(pk.AccumulateRows)
 		gd, gc := blockedPass(pk.AccumulateRowsGo)
+		fpd, fpc := floatPass(fixed.AccumulateWeightRowsGo)
+		fbd, fbc := floatPass(fixed.AccumulateWeightRows)
 		if err := sameBits("per-row and blocked multi-row integrate (current)", pc, bc); err != nil {
-			return 0, 0, 0, err
+			return mt, err
 		}
 		if err := sameBits("per-row and Go blocked multi-row integrate (current)", pc, gc); err != nil {
-			return 0, 0, 0, err
+			return mt, err
 		}
-		if trial == 0 || pd < perRow {
-			perRow = pd
+		if err := sameBits("per-row and blocked float multi-row integrate (current)", fpc, fbc); err != nil {
+			return mt, err
 		}
-		if trial == 0 || bd < blocked {
-			blocked = bd
-		}
-		if trial == 0 || gd < goBlocked {
-			goBlocked = gd
-		}
+		best(&mt.perRow, trial, pd)
+		best(&mt.blocked, trial, bd)
+		best(&mt.goBlocked, trial, gd)
+		best(&mt.floatPerRow, trial, fpd)
+		best(&mt.floatBlocked, trial, fbd)
 	}
-	return perRow, blocked, goBlocked, nil
+	return mt, nil
 }
 
 // sameBits fails unless a and b hold the same float64 bit patterns.

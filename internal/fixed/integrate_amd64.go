@@ -4,9 +4,9 @@ package fixed
 
 import "errors"
 
-// errRowRange is blocks8AVX2's panic for a spike row whose words lie
-// outside the matrix.
-var errRowRange = errors.New("fixed: spike row outside the packed matrix")
+// errRowRange is the AVX2 kernels' panic for a spike row whose words or
+// weights lie outside the matrix.
+var errRowRange = errors.New("fixed: spike row outside the matrix")
 
 // avx2 reports whether this host runs the AVX2 kernels: the CPU has AVX2
 // and the operating system saves the YMM registers across context
@@ -66,6 +66,41 @@ func (p *Packing) blocks8AVX2(words []Word, stride int, rows []int, amp, decay f
 //
 //go:noescape
 func accumulate8AVX2(words []Word, stride int, rows []int, step, amp, decay float64, cur []float64)
+
+// weightGroups runs AccumulateWeightRows over [lo, hi), whose length is a
+// multiple of 4, on the AVX2 kernel, or on AccumulateWeightRowsGo where
+// the host lacks AVX2. The assembly checks no bounds, so the window is
+// checked against the row length and every row against the store, and
+// either outside panics, as the Go loop's indexing would.
+//
+//psslint:noalloc
+func weightGroups(g []Weight, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	if !avx2 {
+		AccumulateWeightRowsGo(g, stride, rows, amp, decay, cur, lo, hi)
+		return
+	}
+	c := cur[lo:hi]
+	if hi > stride {
+		panic(errRowRange)
+	}
+	nRows := len(g) / stride
+	for _, r := range rows {
+		if uint(r) >= uint(nRows) {
+			panic(errRowRange)
+		}
+	}
+	accumulateWeightsAVX2(g[lo:], stride, rows, amp, decay, c)
+}
+
+// accumulateWeightsAVX2 is the fused decay and accumulate of float64
+// lanes, len(cur) a multiple of 4: 16 lanes per block while 16 remain,
+// then 4 per group. A block loads cur and scales it by decay (clears it
+// when decay is ±0), then, for each row r in rows order, multiplies the
+// row's weights g[r·stride+k] by amp and adds the products; then it stores
+// the block. No instruction fuses a multiply into an add.
+//
+//go:noescape
+func accumulateWeightsAVX2(g []Weight, stride int, rows []int, amp, decay float64, cur []float64)
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.
 //

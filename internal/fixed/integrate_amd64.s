@@ -128,6 +128,111 @@ done:
 	VZEROUPPER
 	RET
 
+// func accumulateWeightsAVX2(g []Weight, stride int, rows []int, amp, decay float64, cur []float64)
+//
+// Registers: SI the group's first weight of row 0, DX the row stride in
+// bytes, R8/R9 the row list and its length, DI the group's first current,
+// CX the lanes left (a multiple of 4), BX zero iff decay is ±0. Y13 and
+// Y14 hold amp and decay in every lane. A pass takes a block of 16 lanes
+// (Y0–Y3) while 16 remain, then groups of 4 (Y0).
+TEXT ·accumulateWeightsAVX2(SB), NOSPLIT, $0-96
+	MOVQ         g_base+0(FP), SI
+	MOVQ         stride+24(FP), DX
+	SHLQ         $3, DX
+	MOVQ         rows_base+32(FP), R8
+	MOVQ         rows_len+40(FP), R9
+	VBROADCASTSD amp+56(FP), Y13
+	VBROADCASTSD decay+64(FP), Y14
+	MOVQ         decay+64(FP), BX
+	SHLQ         $1, BX                 // drop the sign: zero iff decay is ±0
+	MOVQ         cur_base+72(FP), DI
+	MOVQ         cur_len+80(FP), CX
+
+block:
+	CMPQ   CX, $16
+	JB     group
+	TESTQ  BX, BX
+	JZ     blockclear
+	VMULPD (DI), Y14, Y0
+	VMULPD 32(DI), Y14, Y1
+	VMULPD 64(DI), Y14, Y2
+	VMULPD 96(DI), Y14, Y3
+	JMP    blockrows
+
+blockclear:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+blockrows:
+	MOVQ  R8, R10
+	MOVQ  R9, R11
+	TESTQ R11, R11
+	JZ    blockstore
+
+blockrow:
+	MOVQ   (R10), AX
+	IMULQ  DX, AX
+	VMULPD (SI)(AX*1), Y13, Y4
+	VMULPD 32(SI)(AX*1), Y13, Y5
+	VMULPD 64(SI)(AX*1), Y13, Y6
+	VMULPD 96(SI)(AX*1), Y13, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	ADDQ   $8, R10
+	DECQ   R11
+	JNZ    blockrow
+
+blockstore:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     block
+
+group:
+	TESTQ  CX, CX
+	JZ     weightsdone
+	TESTQ  BX, BX
+	JZ     groupclear
+	VMULPD (DI), Y14, Y0
+	JMP    grouprows
+
+groupclear:
+	VXORPD Y0, Y0, Y0
+
+grouprows:
+	MOVQ  R8, R10
+	MOVQ  R9, R11
+	TESTQ R11, R11
+	JZ    groupstore
+
+grouprow:
+	MOVQ   (R10), AX
+	IMULQ  DX, AX
+	VMULPD (SI)(AX*1), Y13, Y4
+	VADDPD Y4, Y0, Y0
+	ADDQ   $8, R10
+	DECQ   R11
+	JNZ    grouprow
+
+groupstore:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     group
+
+weightsdone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

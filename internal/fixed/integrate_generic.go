@@ -10,3 +10,9 @@ const avx2 = false
 func (p *Packing) blocks8(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
 	p.blocks8Go(words, stride, rows, amp, decay, cur, lo, hi)
 }
+
+// weightGroups runs AccumulateWeightRows' groups of four lanes on the Go
+// loop.
+func weightGroups(g []Weight, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {
+	AccumulateWeightRowsGo(g, stride, rows, amp, decay, cur, lo, hi)
+}

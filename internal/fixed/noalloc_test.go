@@ -60,3 +60,18 @@ func TestNoAllocAccumulateRows(t *testing.T) {
 		}
 	}
 }
+
+func TestNoAllocAccumulateWeightRows(t *testing.T) {
+	rows := []int{0, 2, 2, 1}
+	const n = 45 // 16-lane blocks, 4-lane groups and a scalar tail
+	g := make([]Weight, 3*n)
+	cur := make([]float64, n)
+	avg := testing.AllocsPerRun(100, func() {
+		AccumulateWeightRows(g, n, rows, 0.5, 0.75, cur, 0, n)
+		AccumulateWeightRows(g, n, rows, 0.5, 0.75, cur, 3, 6) // no full group
+		AccumulateWeightRowsGo(g, n, rows, 0.5, 0.75, cur, 0, n)
+	})
+	if avg != 0 {
+		t.Errorf("AccumulateWeightRows allocates %.1f per run, want 0", avg)
+	}
+}

@@ -237,9 +237,10 @@ func (m *Matrix) Stats() (minG, maxG, mean float64) {
 // inference alike. On the packed store it runs fixed's register-blocked
 // AccumulateRows, which reads each spiking row's words once per block of
 // lanes and keeps the block's currents in registers across the rows, with
-// the decay fused into the block's load; the float fallback walks the rows
-// one at a time. Either way the currents are bit-identical to a decay pass
-// followed by adding the rows one by one.
+// the decay fused into the block's load; the float fallback runs
+// fixed.AccumulateWeightRows, the same shape over float64 weights. Either
+// way the currents are bit-identical to a decay pass followed by adding
+// the rows one by one.
 //
 //psslint:noalloc
 func (m *Matrix) AccumulateSpikesRange(pres []int, amp, decay float64, current []float64, lo, hi int) {
@@ -247,17 +248,5 @@ func (m *Matrix) AccumulateSpikesRange(pres []int, amp, decay float64, current [
 		m.pk.AccumulateRows(m.words, m.wpr, pres, amp, decay, current, lo, hi)
 		return
 	}
-	if decay == 0 {
-		clear(current[lo:hi])
-	} else {
-		for i := lo; i < hi; i++ {
-			current[i] *= decay
-		}
-	}
-	for _, pre := range pres {
-		row := m.g[pre*m.NPost : (pre+1)*m.NPost]
-		for i := lo; i < hi; i++ {
-			current[i] += float64(row[i]) * amp
-		}
-	}
+	fixed.AccumulateWeightRows(m.g, m.NPost, pres, amp, decay, current, lo, hi)
 }

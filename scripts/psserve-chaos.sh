@@ -146,7 +146,11 @@ while [ "$cycle" -lt "$CYCLES" ]; do
 	if [ $((cycle % 2)) = 0 ]; then SRC="$WORK/v2.pss"; else SRC="$WORK/v1.pss"; fi
 	cp "$SRC" "$MODELS/digits.pss"
 	EXPECT=$((EXPECT + 1))
-	echo "$EXPECT" >"$WORK/published"
+	# Replace the bound by rename, never in place: a redirect truncates
+	# the file before it writes, and a flood read in between would see an
+	# empty bound and skip its generation check.
+	echo "$EXPECT" >"$WORK/published.tmp"
+	mv "$WORK/published.tmp" "$WORK/published"
 	if [ $((cycle % 3)) = 0 ]; then
 		kill -HUP "$SERVER_PID"
 		for _ in $(seq 1 50); do
