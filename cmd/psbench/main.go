@@ -112,25 +112,6 @@ type swarBench struct {
 	FloatMultiSpeedup   float64 `json:"float_multi_speedup"` // float_multi_per_row_ns / float_multi_blocked_ns
 }
 
-// encodeBench is the dense-scan vs sparse event-stream encode comparison
-// on the paper's input geometry: the same presentation (784 pixels × 1000
-// steps, MNIST-like synthetic digit, 0–78 Hz band) encoded once by the
-// dense per-step pixel scan (encode.Source.Step) and once through the
-// sparse plan builder plus per-step CSR lookups (DESIGN.md §16). Both
-// sides must produce the bit-identical spike stream — a divergence fails
-// the probe rather than reporting a bogus speedup.
-type encodeBench struct {
-	Pixels        int     `json:"pixels"`
-	Steps         int     `json:"steps"`
-	Reps          int     `json:"reps"`
-	Spikes        int     `json:"spikes"`
-	DenseNs       int64   `json:"dense_ns"`
-	SparseNs      int64   `json:"sparse_ns"`
-	DenseStepSec  float64 `json:"dense_steps_per_sec"`
-	SparseStepSec float64 `json:"sparse_steps_per_sec"`
-	Speedup       float64 `json:"speedup"` // dense_ns / sparse_ns
-}
-
 // benchDoc is the machine-readable benchmark summary.
 type benchDoc struct {
 	Schema         string           `json:"schema"`
@@ -144,7 +125,6 @@ type benchDoc struct {
 	ProbeMetrics   obs.Snapshot     `json:"probe_metrics"`
 	PlasticityCmp  *plasticityBench `json:"plasticity_probe,omitempty"`
 	SwarCmp        *swarBench       `json:"swar_probe,omitempty"`
-	EncodeCmp      *encodeBench     `json:"encode_probe,omitempty"`
 }
 
 func main() {
@@ -608,16 +588,6 @@ func main() {
 		fmt.Printf("swar probe skipped: %s has no packed representation\n", probeFormat)
 	}
 
-	encCmp, err := encodeProbe()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psbench: encode probe:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("encode %d×%d: dense %.2f ms, sparse %.2f ms — %.2fx (%d spikes)\n",
-		encCmp.Pixels, encCmp.Steps,
-		float64(encCmp.DenseNs)/1e6, float64(encCmp.SparseNs)/1e6,
-		encCmp.Speedup, encCmp.Spikes)
-
 	snap := reg.Snapshot()
 	if *benchDir != "" {
 		if err := os.MkdirAll(*benchDir, 0o755); err != nil {
@@ -637,7 +607,6 @@ func main() {
 			ProbeMetrics:   snap,
 			PlasticityCmp:  plastCmp,
 			SwarCmp:        swarCmp,
-			EncodeCmp:      &encCmp,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "psbench:", err)
 			os.Exit(1)
@@ -1045,122 +1014,6 @@ func sameBits(what string, a, b []float64) error {
 		}
 	}
 	return nil
-}
-
-// encodeProbe times one full presentation's spike encoding twice: the dense
-// per-step scan over all pixels (the code path before the sparse event
-// stream), and the sparse plan build plus per-step CSR lookups the network
-// now runs on. The image is an MNIST-like synthetic digit — mostly silent
-// background with a minority of ink pixels — over the paper's 0–78 Hz
-// high-frequency band, so the sparse side's cost scales with active pixels
-// and spikes per step while the dense side pays for the whole field every
-// step. Both sides must produce the bit-identical spike stream. Best of
-// three interleaved trials per side, as in swarProbe.
-func encodeProbe() (encodeBench, error) {
-	const (
-		pixels = 28 * 28
-		steps  = 1000
-		reps   = 4
-		dt     = 1.0
-		seed   = 0xe5c0de
-	)
-	img := dataset.SynthDigits(1, seed).Images[0]
-	if len(img) != pixels {
-		return encodeBench{}, fmt.Errorf("synthetic digit has %d pixels, want %d", len(img), pixels)
-	}
-	band := encode.Band{MinHz: 0, MaxHz: 78}
-	src, err := encode.NewSource(img, band, encode.Poisson, seed, 0)
-	if err != nil {
-		return encodeBench{}, err
-	}
-
-	// Reference spike stream for the bit-identity check, built outside the
-	// timed region.
-	src.Prepare(dt)
-	want := make([][]int, steps)
-	total := 0
-	for st := 0; st < steps; st++ {
-		want[st] = src.Step(uint64(st), dt, nil)
-		total += len(want[st])
-	}
-
-	densePass := func() time.Duration {
-		buf := make([]int, 0, pixels)
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			src.Prepare(dt)
-			for st := 0; st < steps; st++ {
-				buf = src.Step(uint64(st), dt, buf[:0])
-			}
-		}
-		return time.Since(start)
-	}
-
-	var plan *encode.Plan
-	sparsePass := func() (time.Duration, error) {
-		buf := make([]int, 0, pixels)
-		var mismatch error
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			plan = src.BuildPlanInto(plan, 0, dt, steps)
-			for st := 0; st < steps; st++ {
-				buf = plan.Step(st, buf[:0])
-				if len(buf) != len(want[st]) && mismatch == nil {
-					mismatch = fmt.Errorf("sparse step %d holds %d spikes, dense %d",
-						st, len(buf), len(want[st]))
-				}
-			}
-		}
-		return time.Since(start), mismatch
-	}
-
-	const trials = 3
-	var denseWall, sparseWall time.Duration
-	for trial := 0; trial < trials; trial++ {
-		dd := densePass()
-		sd, err := sparsePass()
-		if err != nil {
-			return encodeBench{}, err
-		}
-		if trial == 0 || dd < denseWall {
-			denseWall = dd
-		}
-		if trial == 0 || sd < sparseWall {
-			sparseWall = sd
-		}
-	}
-
-	// Full bit-identity, not just counts: every (step, pixel) event of the
-	// final sparse plan must match the dense reference exactly.
-	var buf []int
-	for st := 0; st < steps; st++ {
-		buf = plan.Step(st, buf[:0])
-		if len(buf) != len(want[st]) {
-			return encodeBench{}, fmt.Errorf("sparse step %d holds %d spikes, dense %d",
-				st, len(buf), len(want[st]))
-		}
-		for i, px := range want[st] {
-			if buf[i] != px {
-				return encodeBench{}, fmt.Errorf("sparse step %d event %d is pixel %d, dense %d",
-					st, i, buf[i], px)
-			}
-		}
-	}
-
-	stepsSec := func(d time.Duration) float64 {
-		return float64(steps) * reps / d.Seconds()
-	}
-	return encodeBench{
-		Pixels:        pixels,
-		Steps:         steps,
-		Reps:          reps,
-		Spikes:        total,
-		DenseNs:       denseWall.Nanoseconds(),
-		SparseNs:      sparseWall.Nanoseconds(),
-		DenseStepSec:  stepsSec(denseWall),
-		SparseStepSec: stepsSec(sparseWall),
-		Speedup:       float64(denseWall) / float64(sparseWall),
-	}, nil
 }
 
 // writeBench writes the benchmark summary as indented JSON.

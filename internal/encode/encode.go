@@ -9,18 +9,15 @@
 // per image; the high-frequency mode boosts the band to 5–78 Hz and cuts the
 // presentation time to 100 ms.
 //
-// Two train generators are provided:
-//
-//   - Poisson: each step spikes independently with probability rate·dt
-//     (counter-based draws → reproducible under parallelism);
-//   - Regular: evenly spaced spikes at exactly the target rate, with a
-//     per-pixel deterministic phase, used for raster illustrations and
-//     ablations.
+// Every train is Poisson: each step spikes independently with probability
+// rate·dt, decided by a counter-based hash of (seed, presentation, step,
+// pixel), so the trains are reproducible under any goroutine layout. A
+// Source materializes them as a Plan, the sparse CSR schedule the step
+// core replays (plan.go, events.go).
 package encode
 
 import (
 	"fmt"
-	"math"
 
 	"parallelspikesim/internal/rng"
 )
@@ -63,54 +60,28 @@ func (b Band) Rates(img []uint8, dst []float64) {
 	}
 }
 
-// TrainKind selects the spike-train generator.
-type TrainKind int
-
-const (
-	// Poisson trains spike with per-step probability rate·dt.
-	Poisson TrainKind = iota
-	// Regular trains spike at exact intervals 1/rate with a per-pixel phase.
-	Regular
-)
-
-// String names the generator.
-func (k TrainKind) String() string {
-	switch k {
-	case Poisson:
-		return "poisson"
-	case Regular:
-		return "regular"
-	default:
-		return fmt.Sprintf("TrainKind(%d)", int(k))
-	}
-}
-
-// Source generates the spike-train array for one presented image: one train
-// per pixel. Spike decisions are pure functions of (seed, presentation,
-// step, pixel), so the source can be stepped from any goroutine layout and
-// replayed exactly.
+// Source generates the spike-train array for one presented image: one
+// Poisson train per pixel. Spike decisions are pure functions of (seed,
+// presentation, step, pixel), so a source's plans can be built from any
+// goroutine layout and replayed exactly.
 type Source struct {
-	Kind  TrainKind
 	rates []float64 // Hz per pixel
 	seed  uint64
-	pres  uint64 // presentation counter decorrelating successive images
 
-	// presSeed folds (seed, pres) into one value so the per-step draw
+	// presSeed folds (seed, presentation) into one value so a spike draw
 	// hashes two counters instead of three.
 	presSeed uint64
-	// thresholds caches uint64(p·2⁶⁴) per pixel for the dt the source was
-	// last stepped with, so the Poisson decision is one hash + compare.
-	thresholds []uint64
-	thrDT      float64
-	// active lists the pixels with a nonzero threshold, ascending, and
-	// activeThr their thresholds, packed: the only pixels a Poisson plan
-	// build hashes. Prepare fills both beside thresholds.
+	// active lists the pixels with a nonzero Poisson threshold, ascending,
+	// and activeThr their thresholds uint64(p·2⁶⁴), packed: the only pixels
+	// a plan build hashes. Prepare fills both for step width thrDT; a
+	// negative thrDT marks them stale.
 	active    []int32
 	activeThr []uint64
+	thrDT     float64
 }
 
 // NewSource builds a spike source for an image under the given band.
-func NewSource(img []uint8, band Band, kind TrainKind, seed, presentation uint64) (*Source, error) {
+func NewSource(img []uint8, band Band, seed, presentation uint64) (*Source, error) {
 	if err := band.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,23 +89,21 @@ func NewSource(img []uint8, band Band, kind TrainKind, seed, presentation uint64
 		return nil, fmt.Errorf("encode: empty image")
 	}
 	s := &Source{
-		Kind:     kind,
 		rates:    make([]float64, len(img)),
 		seed:     seed,
-		pres:     presentation,
 		presSeed: rng.Hash64(seed, presentation),
+		thrDT:    -1,
 	}
 	band.Rates(img, s.rates)
 	return s, nil
 }
 
 // Rebind repoints the source at a new image and presentation counter,
-// reusing the rate and threshold buffers — the allocation-free path the
-// frozen-weight inference engine uses to stream many images through one
-// Source per worker. The new image must have the same pixel count the
-// source was built with. Any previously prepared thresholds are
-// invalidated; call Prepare again (or let StepRange fall back to on-the-fly
-// threshold computation, which reads the fresh rates either way).
+// reusing the rate and active-set buffers — the allocation-free path the
+// step core uses to stream many images through one Source. The new image
+// must have the same pixel count the source was built with. The prepared
+// active set is invalidated; the next Prepare or plan build refreshes it
+// from the fresh rates.
 func (s *Source) Rebind(img []uint8, band Band, presentation uint64) error {
 	if err := band.Validate(); err != nil {
 		return err
@@ -142,30 +111,25 @@ func (s *Source) Rebind(img []uint8, band Band, presentation uint64) error {
 	if len(img) != len(s.rates) {
 		return fmt.Errorf("encode: rebind image has %d pixels, source built for %d", len(img), len(s.rates))
 	}
-	s.pres = presentation
 	s.presSeed = rng.Hash64(s.seed, presentation)
 	band.Rates(img, s.rates)
-	s.thrDT = -1 // stale thresholds must never match a real dt
+	s.thrDT = -1 // a stale active set must never match a real dt
 	return nil
 }
 
-// Prepare precomputes the per-pixel Poisson thresholds for step width dt,
-// and the active set of pixels whose threshold is nonzero.
-// Call it once before stepping the source from multiple goroutines;
-// unprepared sources compute the same decisions on the fly. Prepare must
-// not race with Step/StepRange.
+// Prepare computes, for step width dt, the active set of pixels whose
+// Poisson threshold is nonzero, and their thresholds. Call it once before
+// building plans from the source on several goroutines at once; a build
+// on an unprepared source prepares it. Prepare must not race with a build.
 func (s *Source) Prepare(dt float64) {
-	if s.thresholds == nil {
-		s.thresholds = make([]uint64, len(s.rates))
+	if s.active == nil {
 		s.active = make([]int32, 0, len(s.rates))
 		s.activeThr = make([]uint64, 0, len(s.rates))
 	}
 	s.thrDT = dt
 	s.active, s.activeThr = s.active[:0], s.activeThr[:0]
 	for i, rate := range s.rates {
-		thr := poissonThreshold(rate * dt / 1000)
-		s.thresholds[i] = thr
-		if thr != 0 {
+		if thr := poissonThreshold(rate * dt / 1000); thr != 0 {
 			s.active = append(s.active, int32(i))
 			s.activeThr = append(s.activeThr, thr)
 		}
@@ -190,61 +154,6 @@ func (s *Source) Len() int { return len(s.rates) }
 
 // Rate returns the target rate of train i in Hz.
 func (s *Source) Rate(i int) float64 { return s.rates[i] }
-
-// Step appends the indices of trains that spike during simulation step
-// `step` of width dt ms, and returns the extended slice. Steps are
-// independent of call order.
-//
-//psslint:noalloc
-func (s *Source) Step(step uint64, dt float64, spikes []int) []int {
-	return s.StepRange(step, dt, 0, len(s.rates), spikes)
-}
-
-// StepRange is Step restricted to trains [lo, hi); the parallel engine uses
-// it to partition spike generation by pixel. Splitting a step across ranges
-// yields exactly the spikes of a full Step, in the same (ascending) order.
-//
-//psslint:noalloc
-func (s *Source) StepRange(step uint64, dt float64, lo, hi int, spikes []int) []int {
-	switch s.Kind {
-	case Poisson:
-		if s.thresholds != nil && s.thrDT == dt {
-			for i := lo; i < hi; i++ {
-				thr := s.thresholds[i]
-				if thr != 0 && rng.Hash64(s.presSeed, step, uint64(i)) < thr {
-					spikes = append(spikes, i)
-				}
-			}
-			break
-		}
-		for i := lo; i < hi; i++ {
-			thr := poissonThreshold(s.rates[i] * dt / 1000)
-			if thr != 0 && rng.Hash64(s.presSeed, step, uint64(i)) < thr {
-				spikes = append(spikes, i)
-			}
-		}
-	case Regular:
-		for i := lo; i < hi; i++ {
-			rate := s.rates[i]
-			if rate <= 0 {
-				continue
-			}
-			period := 1000 / rate // ms
-			// Deterministic per-pixel phase in [0, period).
-			phase := rng.Uniform(s.seed, s.pres, uint64(i)) * period
-			tPrev := float64(step) * dt
-			tNow := tPrev + dt
-			// Spike if a multiple of the period (offset by phase) falls in
-			// (tPrev, tNow].
-			kPrev := math.Floor((tPrev - phase) / period)
-			kNow := math.Floor((tNow - phase) / period)
-			if kNow > kPrev && tNow > phase {
-				spikes = append(spikes, i)
-			}
-		}
-	}
-	return spikes
-}
 
 // ExpectedSpikes returns the expected total spike count over a presentation
 // of durationMS, summed across all trains.

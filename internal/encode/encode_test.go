@@ -2,6 +2,7 @@ package encode
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -66,13 +67,13 @@ func TestRatesPanicsOnLengthMismatch(t *testing.T) {
 }
 
 func TestNewSourceValidation(t *testing.T) {
-	if _, err := NewSource(nil, BaselineBand(), Poisson, 1, 0); err == nil {
+	if _, err := NewSource(nil, BaselineBand(), 1, 0); err == nil {
 		t.Error("empty image accepted")
 	}
-	if _, err := NewSource([]uint8{1}, Band{10, 5}, Poisson, 1, 0); err == nil {
+	if _, err := NewSource([]uint8{1}, Band{10, 5}, 1, 0); err == nil {
 		t.Error("invalid band accepted")
 	}
-	s, err := NewSource([]uint8{0, 255}, BaselineBand(), Poisson, 1, 0)
+	s, err := NewSource([]uint8{0, 255}, BaselineBand(), 1, 0)
 	if err != nil || s.Len() != 2 {
 		t.Fatalf("NewSource: %v", err)
 	}
@@ -84,12 +85,12 @@ func TestNewSourceValidation(t *testing.T) {
 func TestPoissonRateAccuracy(t *testing.T) {
 	// A 255-intensity pixel in a 5-78 Hz band should spike ~78 times/s.
 	img := []uint8{255, 128, 0}
-	s, _ := NewSource(img, HighFrequencyBand(), Poisson, 99, 0)
+	s, _ := NewSource(img, HighFrequencyBand(), 99, 0)
 	const steps = 200000 // 200 s at dt=1ms
 	counts := make([]int, 3)
 	var spikes []int
 	for step := uint64(0); step < steps; step++ {
-		spikes = s.Step(step, 1, spikes[:0])
+		spikes = denseStep(s, step, 1, spikes[:0])
 		for _, i := range spikes {
 			counts[i]++
 		}
@@ -105,50 +106,39 @@ func TestPoissonRateAccuracy(t *testing.T) {
 
 func TestPoissonReproducible(t *testing.T) {
 	img := []uint8{200, 100}
-	a, _ := NewSource(img, BaselineBand(), Poisson, 7, 3)
-	b, _ := NewSource(img, BaselineBand(), Poisson, 7, 3)
+	a, _ := NewSource(img, BaselineBand(), 7, 3)
+	b, _ := NewSource(img, BaselineBand(), 7, 3)
 	for step := uint64(0); step < 1000; step++ {
-		sa := a.Step(step, 1, nil)
-		sb := b.Step(step, 1, nil)
-		if len(sa) != len(sb) {
+		sa := denseStep(a, step, 1, nil)
+		sb := denseStep(b, step, 1, nil)
+		if !slices.Equal(sa, sb) {
 			t.Fatalf("step %d: %v vs %v", step, sa, sb)
-		}
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("step %d: %v vs %v", step, sa, sb)
-			}
 		}
 	}
 }
 
 func TestPoissonStepOrderIndependent(t *testing.T) {
-	// Counter-based draws: querying steps out of order gives the same
-	// spikes as in order.
+	// Counter-based draws: one-step plans built in reverse order hold the
+	// same spikes as the steps of one forward plan.
 	img := []uint8{255}
-	s, _ := NewSource(img, HighFrequencyBand(), Poisson, 5, 1)
-	forward := map[uint64]bool{}
-	for step := uint64(0); step < 500; step++ {
-		forward[step] = len(s.Step(step, 1, nil)) > 0
-	}
-	for step := uint64(499); ; step-- {
-		got := len(s.Step(step, 1, nil)) > 0
-		if got != forward[step] {
-			t.Fatalf("step %d differs when queried in reverse", step)
-		}
-		if step == 0 {
-			break
+	s, _ := NewSource(img, HighFrequencyBand(), 5, 1)
+	forward := s.BuildPlan(0, 1, 500)
+	for step := 499; step >= 0; step-- {
+		got := s.BuildPlan(uint64(step), 1, 1).StepView(0)
+		if !slices.Equal(got, forward.StepView(step)) {
+			t.Fatalf("step %d differs when built in reverse", step)
 		}
 	}
 }
 
 func TestPresentationsDecorrelated(t *testing.T) {
 	img := []uint8{255}
-	a, _ := NewSource(img, HighFrequencyBand(), Poisson, 5, 1)
-	b, _ := NewSource(img, HighFrequencyBand(), Poisson, 5, 2)
+	a, _ := NewSource(img, HighFrequencyBand(), 5, 1)
+	b, _ := NewSource(img, HighFrequencyBand(), 5, 2)
 	same, fires := 0, 0
 	for step := uint64(0); step < 5000; step++ {
-		fa := len(a.Step(step, 1, nil)) > 0
-		fb := len(b.Step(step, 1, nil)) > 0
+		fa := len(denseStep(a, step, 1, nil)) > 0
+		fb := len(denseStep(b, step, 1, nil)) > 0
 		if fa {
 			fires++
 			if fb {
@@ -165,59 +155,9 @@ func TestPresentationsDecorrelated(t *testing.T) {
 	}
 }
 
-func TestRegularTrainRate(t *testing.T) {
-	img := []uint8{255, 128}
-	s, _ := NewSource(img, Band{MinHz: 10, MaxHz: 50}, Regular, 3, 0)
-	const steps = 10000 // 10 s at dt=1ms
-	counts := make([]int, 2)
-	var spikes []int
-	for step := uint64(0); step < steps; step++ {
-		spikes = s.Step(step, 1, spikes[:0])
-		for _, i := range spikes {
-			counts[i]++
-		}
-	}
-	for i := range img {
-		want := s.Rate(i) * steps / 1000
-		if math.Abs(float64(counts[i])-want) > 2 {
-			t.Errorf("regular train %d: %d spikes, want ~%v", i, counts[i], want)
-		}
-	}
-}
-
-func TestRegularTrainEvenSpacing(t *testing.T) {
-	img := []uint8{255}
-	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 100}, Regular, 11, 0) // 100 Hz → every 10 ms
-	var times []uint64
-	for step := uint64(0); step < 1000; step++ {
-		if len(s.Step(step, 1, nil)) > 0 {
-			times = append(times, step)
-		}
-	}
-	if len(times) < 50 {
-		t.Fatalf("too few spikes: %d", len(times))
-	}
-	for i := 2; i < len(times); i++ {
-		gap := times[i] - times[i-1]
-		if gap < 9 || gap > 11 {
-			t.Fatalf("irregular gap %d at spike %d", gap, i)
-		}
-	}
-}
-
-func TestRegularZeroRateNeverSpikes(t *testing.T) {
-	img := []uint8{0}
-	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 100}, Regular, 1, 0)
-	for step := uint64(0); step < 1000; step++ {
-		if len(s.Step(step, 1, nil)) > 0 {
-			t.Fatal("zero-rate regular train spiked")
-		}
-	}
-}
-
 func TestExpectedSpikes(t *testing.T) {
 	img := []uint8{255, 255}
-	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 10}, Poisson, 1, 0)
+	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 10}, 1, 0)
 	if got := s.ExpectedSpikes(1000); math.Abs(got-20) > 1e-9 {
 		t.Fatalf("ExpectedSpikes = %v, want 20", got)
 	}
@@ -258,12 +198,6 @@ func TestWithMaxHz(t *testing.T) {
 	}
 }
 
-func TestTrainKindString(t *testing.T) {
-	if Poisson.String() != "poisson" || Regular.String() != "regular" {
-		t.Fatal("TrainKind.String mismatch")
-	}
-}
-
 // Property: rates always stay inside the band for any intensity.
 func TestRateWithinBandProperty(t *testing.T) {
 	check := func(minHz, span float64, px uint8) bool {
@@ -285,8 +219,8 @@ func TestBandMonotoneProperty(t *testing.T) {
 		boost = 1 + math.Mod(math.Abs(boost), 5)
 		lo := BaselineBand()
 		hi := Band{MinHz: lo.MinHz * boost, MaxHz: lo.MaxHz * boost}
-		sLo, err1 := NewSource(img, lo, Poisson, 1, 0)
-		sHi, err2 := NewSource(img, hi, Poisson, 1, 0)
+		sLo, err1 := NewSource(img, lo, 1, 0)
+		sHi, err2 := NewSource(img, hi, 1, 0)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -297,72 +231,28 @@ func TestBandMonotoneProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkPoissonStep784(b *testing.B) {
-	img := make([]uint8, 784)
-	for i := range img {
-		img[i] = uint8(i % 256)
-	}
-	s, _ := NewSource(img, HighFrequencyBand(), Poisson, 1, 0)
-	var spikes []int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spikes = s.Step(uint64(i), 1, spikes[:0])
-	}
-}
-
-func TestStepRangeMatchesStep(t *testing.T) {
-	img := []uint8{10, 100, 200, 255, 0, 50}
-	for _, kind := range []TrainKind{Poisson, Regular} {
-		s, _ := NewSource(img, HighFrequencyBand(), kind, 21, 4)
-		for step := uint64(0); step < 300; step++ {
-			full := s.Step(step, 1, nil)
-			var split []int
-			split = s.StepRange(step, 1, 0, 3, split)
-			split = s.StepRange(step, 1, 3, 6, split)
-			if len(full) != len(split) {
-				t.Fatalf("%v step %d: %v vs %v", kind, step, full, split)
-			}
-			for i := range full {
-				if full[i] != split[i] {
-					t.Fatalf("%v step %d: %v vs %v", kind, step, full, split)
-				}
-			}
-		}
-	}
-}
-
 func TestPreparedMatchesUnprepared(t *testing.T) {
 	img := []uint8{0, 30, 100, 200, 255}
-	a, _ := NewSource(img, HighFrequencyBand(), Poisson, 17, 5)
-	b, _ := NewSource(img, HighFrequencyBand(), Poisson, 17, 5)
+	a, _ := NewSource(img, HighFrequencyBand(), 17, 5)
+	b, _ := NewSource(img, HighFrequencyBand(), 17, 5)
 	b.Prepare(1)
-	for step := uint64(0); step < 2000; step++ {
-		sa := a.Step(step, 1, nil)
-		sb := b.Step(step, 1, nil)
-		if len(sa) != len(sb) {
-			t.Fatalf("step %d: %v vs %v", step, sa, sb)
-		}
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Fatalf("step %d: %v vs %v", step, sa, sb)
-			}
+	pa, pb := a.BuildPlan(0, 1, 2000), b.BuildPlan(0, 1, 2000)
+	for step := 0; step < 2000; step++ {
+		want := denseStep(a, uint64(step), 1, nil)
+		if !slices.Equal(pa.Step(step, nil), want) || !slices.Equal(pb.Step(step, nil), want) {
+			t.Fatalf("step %d: unprepared %v, prepared %v, dense %v", step, pa.StepView(step), pb.StepView(step), want)
 		}
 	}
 }
 
 func TestPrepareRefreshOnDTChange(t *testing.T) {
 	img := []uint8{255}
-	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 1000}, Poisson, 3, 0)
+	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 1000}, 3, 0)
 	s.Prepare(1)
-	// Stepping with a different dt must not use the stale thresholds:
+	// A plan at a different dt must not use the stale thresholds:
 	// p = 1000 Hz × 0.1 ms = 0.1 → ~10% spike rate, not ~100%.
-	fires := 0
-	for step := uint64(0); step < 10000; step++ {
-		if len(s.Step(step, 0.1, nil)) > 0 {
-			fires++
-		}
-	}
-	rate := float64(fires) / 10000
+	p := s.BuildPlan(0, 0.1, 10000)
+	rate := float64(p.Spikes()) / 10000
 	if rate > 0.15 {
 		t.Fatalf("stale thresholds used after dt change: fire rate %v", rate)
 	}
@@ -371,19 +261,20 @@ func TestPrepareRefreshOnDTChange(t *testing.T) {
 func TestPoissonSaturatedProbability(t *testing.T) {
 	// rate·dt ≥ 1: the train must spike every step.
 	img := []uint8{255}
-	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 2000}, Poisson, 3, 0)
-	s.Prepare(1)
-	for step := uint64(0); step < 100; step++ {
-		if len(s.Step(step, 1, nil)) != 1 {
+	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 2000}, 3, 0)
+	p := s.BuildPlan(0, 1, 100)
+	for step := 0; step < 100; step++ {
+		if len(p.StepView(step)) != 1 {
 			t.Fatalf("saturated train skipped step %d", step)
 		}
 	}
 }
 
 func TestRebindMatchesFreshSource(t *testing.T) {
-	// A rebound source must step exactly like a source freshly built for the
-	// same (image, band, presentation) — including after a Prepare on the old
-	// image, which must not leak stale thresholds into the new one.
+	// A rebound source must build exactly the plan of a source freshly
+	// built for the same (image, band, presentation) — including after a
+	// Prepare on the old image, which must not leak its stale active set
+	// into the new one.
 	band := BaselineBand()
 	imgA := make([]uint8, 64)
 	imgB := make([]uint8, 64)
@@ -392,47 +283,31 @@ func TestRebindMatchesFreshSource(t *testing.T) {
 		imgB[i] = uint8(255 - i*3)
 	}
 	const dt = 1.0
-	for _, kind := range []TrainKind{Poisson, Regular} {
-		src, err := NewSource(imgA, band, kind, 42, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src.Prepare(dt)
-		if err := src.Rebind(imgB, band, 19); err != nil {
-			t.Fatal(err)
-		}
-		src.Prepare(dt)
-		fresh, err := NewSource(imgB, band, kind, 42, 19)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh.Prepare(dt)
-		var got, want []int
-		for step := uint64(0); step < 200; step++ {
-			got = src.Step(step, dt, got[:0])
-			want = fresh.Step(step, dt, want[:0])
-			if len(got) != len(want) {
-				t.Fatalf("kind %v step %d: rebound %v, fresh %v", kind, step, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("kind %v step %d: rebound %v, fresh %v", kind, step, got, want)
-				}
-			}
-		}
+	src, err := NewSource(imgA, band, 42, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
+	src.Prepare(dt)
+	if err := src.Rebind(imgB, band, 19); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSource(imgB, band, 42, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comparePlan(t, "rebound", src.BuildPlan(0, dt, 200), densePlan(fresh, 0, dt, 200))
 }
 
 func TestRebindWithoutPrepareIsCorrect(t *testing.T) {
-	// Skipping Prepare after Rebind must fall back to on-the-fly thresholds
-	// computed from the fresh rates, never reuse the stale prepared ones.
+	// A build after Rebind at the dt the old image was Prepared for must
+	// refresh the active set from the fresh rates, never reuse the stale one.
 	img := make([]uint8, 32)
-	hot := make([]uint8, 32) // saturated image: spikes every step at 255 Hz band
+	hot := make([]uint8, 32)
 	for i := range hot {
 		hot[i] = 255
 	}
 	band := Band{MinHz: 1000, MaxHz: 1000} // rate*dt/1000 = 1 → certain spike
-	src, err := NewSource(img, Band{MinHz: 0, MaxHz: 0.001}, Poisson, 1, 0)
+	src, err := NewSource(img, Band{MinHz: 0, MaxHz: 0.001}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,14 +315,14 @@ func TestRebindWithoutPrepareIsCorrect(t *testing.T) {
 	if err := src.Rebind(hot, band, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.Step(0, 1, nil); len(got) != len(hot) {
-		t.Fatalf("rebound source fired %d trains, want all %d (stale thresholds leaked)", len(got), len(hot))
+	if got := src.BuildPlan(0, 1, 1).Spikes(); got != len(hot) {
+		t.Fatalf("rebound source fired %d trains, want all %d (stale thresholds leaked)", got, len(hot))
 	}
 }
 
 func TestRebindRejectsBadInputs(t *testing.T) {
 	img := make([]uint8, 16)
-	src, err := NewSource(img, BaselineBand(), Poisson, 1, 0)
+	src, err := NewSource(img, BaselineBand(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,11 @@ import (
 // paper's high-frequency band and counts spikes over one second.
 func Example() {
 	img := []uint8{255}
-	src, err := encode.NewSource(img, encode.HighFrequencyBand(), encode.Poisson, 7, 0)
+	src, err := encode.NewSource(img, encode.HighFrequencyBand(), 7, 0)
 	if err != nil {
 		panic(err)
 	}
-	spikes := 0
-	for step := uint64(0); step < 1000; step++ { // 1 s at dt = 1 ms
-		spikes += len(src.Step(step, 1, nil))
-	}
+	spikes := src.BuildPlan(0, 1, 1000).Spikes() // 1 s at dt = 1 ms
 	fmt.Println("target rate:", src.Rate(0), "Hz")
 	fmt.Println("plausible count:", spikes > 50 && spikes < 110)
 	// Output:

@@ -1,8 +1,7 @@
 package encode
 
-// AllocsPerRun gate for the //psslint:noalloc annotations on the spike
-// source step loop: once the caller's spike buffer has capacity for the
-// image, Step and StepRange must not touch the heap.
+// AllocsPerRun gates for the //psslint:noalloc plan lookups and the
+// steady-state plan rebuild.
 
 import (
 	"testing"
@@ -10,35 +9,9 @@ import (
 	"parallelspikesim/internal/check"
 )
 
-func TestNoAllocStep(t *testing.T) {
-	if check.Enabled {
-		t.Skip("simcheck build: noalloc gates apply to release paths only")
-	}
-	img := make([]uint8, 16)
-	for i := range img {
-		img[i] = uint8(i * 17) // mix of silent and near-saturated pixels
-	}
-	s, err := NewSource(img, BaselineBand(), Poisson, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const dt = 0.5
-	s.Prepare(dt)
-	spikes := make([]int, 0, len(img))
-	step := uint64(0)
-	avg := testing.AllocsPerRun(200, func() {
-		spikes = s.Step(step, dt, spikes[:0])
-		spikes = s.StepRange(step, dt, 0, len(img), spikes[:0])
-		step++
-	})
-	if avg != 0 {
-		t.Errorf("Step/StepRange allocate %.1f per run, want 0", avg)
-	}
-}
-
-// The per-step sparse plan lookups — CSR copy, zero-copy view, bitset word
-// row and O(1) membership — are the replay hot path: once the caller's
-// buffer has capacity they must never touch the heap.
+// The per-step sparse plan lookups — CSR copy and zero-copy view — are the
+// replay hot path: once the caller's buffer has capacity they must never
+// touch the heap.
 func TestNoAllocPlanStep(t *testing.T) {
 	if check.Enabled {
 		t.Skip("simcheck build: noalloc gates apply to release paths only")
@@ -47,7 +20,7 @@ func TestNoAllocPlanStep(t *testing.T) {
 	for i := range img {
 		img[i] = uint8(i * 5)
 	}
-	s, err := NewSource(img, HighFrequencyBand(), Poisson, 3, 0)
+	s, err := NewSource(img, HighFrequencyBand(), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +31,6 @@ func TestNoAllocPlanStep(t *testing.T) {
 	avg := testing.AllocsPerRun(200, func() {
 		dst = p.Step(st, dst[:0])
 		sink += len(p.StepView(st))
-		sink += len(p.StepBits(st))
-		if p.Contains(st, 1) {
-			sink++
-		}
 		st = (st + 1) % p.Steps()
 	})
 	if avg != 0 {
@@ -70,8 +39,8 @@ func TestNoAllocPlanStep(t *testing.T) {
 }
 
 // BuildPlanInto recycling a same-shape plan must be allocation-free in the
-// steady state for both generators — this is what keeps the network's
-// inline presentations and infer's pooled scratch off the heap.
+// steady state — this is what keeps the step core's chunk rebuilds off the
+// heap.
 func TestNoAllocBuildPlanInto(t *testing.T) {
 	if check.Enabled {
 		t.Skip("simcheck build: noalloc gates apply to release paths only")
@@ -80,25 +49,22 @@ func TestNoAllocBuildPlanInto(t *testing.T) {
 	for i := range img {
 		img[i] = uint8(255 - i*3)
 	}
-	for _, kind := range []TrainKind{Poisson, Regular} {
-		s, err := NewSource(img, BaselineBand(), kind, 11, 0)
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewSource(img, BaselineBand(), 11, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Warm: the first build sizes every buffer for this shape.
+	p := s.BuildPlanInto(nil, 0, 1, 80)
+	pres := uint64(1)
+	avg := testing.AllocsPerRun(100, func() {
+		if err := s.Rebind(img, BaselineBand(), pres); err != nil {
+			t.Error(err)
+			return
 		}
-		// Warm: first build sizes every buffer for this shape, including the
-		// worst-case Regular event staging.
-		p := s.BuildPlanInto(nil, 0, 1, 80)
-		pres := uint64(1)
-		avg := testing.AllocsPerRun(100, func() {
-			if err := s.Rebind(img, BaselineBand(), pres); err != nil {
-				t.Error(err)
-				return
-			}
-			p = s.BuildPlanInto(p, pres, 1, 80)
-			pres++
-		})
-		if avg != 0 {
-			t.Errorf("%v: steady-state BuildPlanInto allocates %.1f per presentation, want 0", kind, avg)
-		}
+		p = s.BuildPlanInto(p, pres, 1, 80)
+		pres++
+	})
+	if avg != 0 {
+		t.Errorf("steady-state BuildPlanInto allocates %.1f per presentation, want 0", avg)
 	}
 }

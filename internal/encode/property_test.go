@@ -112,14 +112,11 @@ func TestPoissonThresholdFraction(t *testing.T) {
 // threshold degenerates to the empty acceptance region, not a tiny one.
 func TestZeroRateNeverSpikesPoisson(t *testing.T) {
 	img := []uint8{0, 0, 0}
-	s, err := NewSource(img, Band{MinHz: 0, MaxHz: 40}, Poisson, 7, 0)
+	s, err := NewSource(img, Band{MinHz: 0, MaxHz: 40}, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Prepare(1)
-	for step := uint64(0); step < 5000; step++ {
-		if got := s.Step(step, 1, nil); len(got) != 0 {
-			t.Fatalf("zero-rate train spiked at step %d: %v", step, got)
-		}
+	if got := s.BuildPlan(0, 1, 5000).Spikes(); got != 0 {
+		t.Fatalf("zero-rate trains spiked %d times", got)
 	}
 }

@@ -196,16 +196,15 @@ func FigRasters(s Scale, durationMS float64) (*RastersResult, error) {
 		{res.LowBand, &res.LowRaster, &res.LowSpikes},
 		{res.HighBand, &res.HighRaster, &res.HighSpikes},
 	} {
-		src, err := encode.NewSource(img, mode.band, encode.Poisson, s.Seed, 1)
+		src, err := encode.NewSource(img, mode.band, s.Seed, 1)
 		if err != nil {
 			return nil, err
 		}
+		plan := src.BuildPlan(0, 1, int(durationMS))
 		var events []network.SpikeEvent
-		var buf []int
-		for step := uint64(0); step < uint64(durationMS); step++ {
-			buf = src.Step(step, 1, buf[:0])
-			for _, px := range buf {
-				events = append(events, network.SpikeEvent{TimeMS: float64(step), Index: px})
+		for step := 0; step < plan.Steps(); step++ {
+			for _, px := range plan.StepView(step) {
+				events = append(events, network.SpikeEvent{TimeMS: float64(step), Index: int(px)})
 			}
 		}
 		*mode.cnt = len(events)

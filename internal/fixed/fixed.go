@@ -107,7 +107,7 @@ func NewFormat(intBits, fracBits int) (Format, error) {
 // ParseFormat parses the paper's "Qm.n" notation (case-insensitive, so
 // "q1.7" and "Q1.7" are the same format), or "float32"/"float"/"fp32" for
 // the unquantized path. It is the single entry point behind every format
-// flag (pssim/psbench/pstune): beyond NewFormat's bit-count validation it
+// flag (pssim/psbench): beyond NewFormat's bit-count validation it
 // requires the code width to divide 64, so every accepted fixed-point
 // format packs exactly into the 64-bit SWAR words of the packed store.
 func ParseFormat(s string) (Format, error) {

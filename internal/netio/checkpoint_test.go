@@ -122,31 +122,26 @@ func TestPSS2RejectsEveryBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	flip := func(i, bit int) {
-		t.Helper()
-		mut := append([]byte(nil), raw...)
-		mut[i] ^= 1 << bit
-		if _, err := Read(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("bit flip at byte %d bit %d accepted", i, bit)
+	// Every byte with a cycling bit position: CRC32 detects any single-bit
+	// error, so one flipped bit per byte covers the payload. Every bit of
+	// the regions parsed before the checksum kicks in — magic + header,
+	// and the checksum trailer itself.
+	splitWall(t, len(raw), func(t *testing.T, lo, hi int) {
+		mut := bytes.Clone(raw)
+		for i := lo; i < hi; i++ {
+			first, last := i%8, i%8
+			if i < 24 || i >= len(raw)-4 {
+				first, last = 0, 7
+			}
+			for bit := first; bit <= last; bit++ {
+				mut[i] ^= 1 << bit
+				if _, err := Read(bytes.NewReader(mut)); err == nil {
+					t.Fatalf("bit flip at byte %d bit %d accepted", i, bit)
+				}
+				mut[i] ^= 1 << bit
+			}
 		}
-	}
-	// Every byte with a cycling bit position: CRC32 detects any
-	// single-bit error, so one flipped bit per byte covers the payload.
-	for i := 0; i < len(raw); i++ {
-		flip(i, i%8)
-	}
-	// Exhaustive over the regions parsed before the checksum kicks in:
-	// magic + header, and the checksum trailer itself.
-	for i := 0; i < 24 && i < len(raw); i++ {
-		for bit := 0; bit < 8; bit++ {
-			flip(i, bit)
-		}
-	}
-	for i := len(raw) - 4; i < len(raw); i++ {
-		for bit := 0; bit < 8; bit++ {
-			flip(i, bit)
-		}
-	}
+	})
 }
 
 // Every truncation of a PSS2 file must be rejected: the payload lengths
@@ -161,10 +156,28 @@ func TestPSS2RejectsEveryTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for n := 0; n < len(raw); n++ {
-		if _, err := Read(bytes.NewReader(raw[:n])); err == nil {
-			t.Fatalf("truncation to %d of %d bytes accepted", n, len(raw))
+	splitWall(t, len(raw), func(t *testing.T, lo, hi int) {
+		for n := lo; n < hi; n++ {
+			if _, err := Read(bytes.NewReader(raw[:n])); err == nil {
+				t.Fatalf("truncation to %d of %d bytes accepted", n, len(raw))
+			}
 		}
+	})
+}
+
+// wallParts is the number of parallel subtests an exhaustive per-byte wall
+// is split into.
+const wallParts = 8
+
+// splitWall runs check over [0, n) as wallParts parallel subtests, each
+// owning a disjoint range [lo, hi); together they cover every index once.
+func splitWall(t *testing.T, n int, check func(t *testing.T, lo, hi int)) {
+	for k := 0; k < wallParts; k++ {
+		lo, hi := k*n/wallParts, (k+1)*n/wallParts
+		t.Run(fmt.Sprintf("bytes[%d,%d)", lo, hi), func(t *testing.T) {
+			t.Parallel()
+			check(t, lo, hi)
+		})
 	}
 }
 

@@ -31,7 +31,6 @@ type Core struct {
 	dt, amp, tInh float64
 	decay         float64 // per-step synaptic current decay; 0 = instantaneous
 
-	kind    encode.TrainKind
 	srcSeed uint64         // input-spike stream seed, derived from the network seed
 	src     *encode.Source // created on the first Encode, then rebound per image
 
@@ -74,7 +73,6 @@ func NewCore(cfg Config, pop *neuron.Population, syn *synapse.Matrix) *Core {
 		dt:      cfg.DTms,
 		amp:     cfg.SpikeAmp,
 		tInh:    cfg.TInhMS,
-		kind:    cfg.TrainKind,
 		srcSeed: rng.Hash64(cfg.Seed, 0x50c),
 		current: make([]float64, cfg.NumNeurons),
 	}
@@ -121,7 +119,7 @@ func (c *Core) Encode(img []uint8, ctl encode.Control, startStep uint64) (int, e
 	c.helper.Wait()
 	t := c.obsBuild.Start()
 	if c.src == nil {
-		src, err := encode.NewSource(img, ctl.Band, c.kind, c.srcSeed, startStep)
+		src, err := encode.NewSource(img, ctl.Band, c.srcSeed, startStep)
 		if err != nil {
 			return 0, err
 		}
@@ -236,9 +234,9 @@ func (c *Core) run(h *trainHook) int {
 			plan = c.chunk(s / chunkSteps)
 			buildNS += c.obsBuild.Since(t)
 			if check.Enabled {
-				// A malformed plan — hostile offsets, out-of-range pixels,
-				// a bitset out of sync with the CSR rows — must die here,
-				// not corrupt the simulation.
+				// A malformed plan — offsets out of range, pixels out of
+				// range or out of order — must die here, not corrupt the
+				// simulation.
 				if err := plan.Validate(); err != nil {
 					check.Assert(false, "network: spike plan failed validation: %v", err)
 				}

@@ -30,11 +30,11 @@ func chunkedSteps(c *Core, ahead bool) [][]int32 {
 
 // TestChunkedEncodeMatchesWholePlan is the wall under the chunked build:
 // whichever goroutine builds a chunk, every step the core replays must be
-// the step of one whole BuildPlanInto over the presentation — for both
-// train kinds, the paper's two operating points and a boosted band, step
-// counts that leave a short last chunk or fit in one, and start steps whose
-// chunks straddle 2³². One core per kind serves every case, so chunk
-// storage recycled from a longer presentation is exercised too.
+// the step of one whole BuildPlanInto over the presentation — for the
+// paper's two operating points and a boosted band, step counts that leave
+// a short last chunk or fit in one, and start steps whose chunks straddle
+// 2³². One core serves every case, so chunk storage recycled from a longer
+// presentation is exercised too.
 func TestChunkedEncodeMatchesWholePlan(t *testing.T) {
 	img := dataset.SynthDigits(1, 3).Images[0]
 	base := encode.BaselineBand()
@@ -48,42 +48,39 @@ func TestChunkedEncodeMatchesWholePlan(t *testing.T) {
 		{Band: encode.HighFrequencyBand(), TLearnMS: 101},
 	}
 	starts := []uint64{0, 1<<32 - 45, 1<<32 + 3}
-	for _, kind := range []encode.TrainKind{encode.Poisson, encode.Regular} {
-		cfg := testConfig(t, synapse.Stochastic, 10)
-		cfg.TrainKind = kind
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := net.core
-		for _, ctl := range ctls {
-			for _, start := range starts {
-				for _, ahead := range []bool{false, true} {
-					label := fmt.Sprintf("%v/[%v,%v]Hz/%vms/start=%d/ahead=%v",
-						kind, ctl.Band.MinHz, ctl.Band.MaxHz, ctl.TLearnMS, start, ahead)
-					steps, err := c.Encode(img, ctl, start)
-					if err != nil {
-						t.Fatal(err)
+	cfg := testConfig(t, synapse.Stochastic, 10)
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := net.core
+	for _, ctl := range ctls {
+		for _, start := range starts {
+			for _, ahead := range []bool{false, true} {
+				label := fmt.Sprintf("[%v,%v]Hz/%vms/start=%d/ahead=%v",
+					ctl.Band.MinHz, ctl.Band.MaxHz, ctl.TLearnMS, start, ahead)
+				steps, err := c.Encode(img, ctl, start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := chunkedSteps(c, ahead)
+				src, err := encode.NewSource(img, ctl.Band, c.srcSeed, start)
+				if err != nil {
+					t.Fatal(err)
+				}
+				whole := src.BuildPlanInto(nil, start, cfg.DTms, steps)
+				if len(got) != whole.Steps() {
+					t.Fatalf("%s: chunked core holds %d steps, whole plan %d", label, len(got), whole.Steps())
+				}
+				spikes := 0
+				for s, view := range got {
+					if want := whole.StepView(s); !slices.Equal(view, want) {
+						t.Fatalf("%s: step %d: chunked %v, whole plan %v", label, s, view, want)
 					}
-					got := chunkedSteps(c, ahead)
-					src, err := encode.NewSource(img, ctl.Band, kind, c.srcSeed, start)
-					if err != nil {
-						t.Fatal(err)
-					}
-					whole := src.BuildPlanInto(nil, start, cfg.DTms, steps)
-					if len(got) != whole.Steps() {
-						t.Fatalf("%s: chunked core holds %d steps, whole plan %d", label, len(got), whole.Steps())
-					}
-					spikes := 0
-					for s, view := range got {
-						if want := whole.StepView(s); !slices.Equal(view, want) {
-							t.Fatalf("%s: step %d: chunked %v, whole plan %v", label, s, view, want)
-						}
-						spikes += len(view)
-					}
-					if spikes == 0 {
-						t.Fatalf("%s: no input spikes; the comparison is vacuous", label)
-					}
+					spikes += len(view)
+				}
+				if spikes == 0 {
+					t.Fatalf("%s: no input spikes; the comparison is vacuous", label)
 				}
 			}
 		}

@@ -93,7 +93,6 @@ type Config struct {
 	TauSynMS float64 // synaptic current trace decay; 0 = instantaneous
 	DTms     float64 // integration step
 
-	TrainKind        encode.TrainKind
 	InitGLo, InitGHi float64 // uniform conductance initialization range
 
 	Seed uint64
@@ -117,7 +116,6 @@ func DefaultConfig(numInputs, numNeurons int, syn synapse.Config) Config {
 		SpikeAmp:   0.6,
 		TauSynMS:   4,
 		DTms:       1,
-		TrainKind:  encode.Poisson,
 		InitGLo:    0.15,
 		InitGHi:    0.45,
 		Seed:       syn.Seed,
