@@ -252,18 +252,6 @@ func BenchmarkAblateHomeostasis(b *testing.B) {
 	}
 }
 
-func BenchmarkAblateParallelScaling(b *testing.B) {
-	s := benchScale()
-	s.TrainImages = 150
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblateParallelScaling(s, []int{1, 2, 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Rows[len(res.Rows)-1].Speedup, "speedup4w")
-	}
-}
-
 func BenchmarkAblateNoise(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {

@@ -32,12 +32,13 @@ import (
 	"time"
 
 	"parallelspikesim/internal/carlsim"
-	"parallelspikesim/internal/core"
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
 	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/experiments"
 	"parallelspikesim/internal/fixed"
+	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/obs"
 	"parallelspikesim/internal/synapse"
@@ -130,11 +131,11 @@ type benchDoc struct {
 func main() {
 	var (
 		scaleName  = flag.String("scale", "default", "test | default | paper")
-		expList    = flag.String("exp", "all", "comma-separated experiments: fig1a,fig1c,fig1d,fig4,fig5a,fig5b,fig6a,fig6b,fig7a,fig7b,fig8c,table2,anchor,ablate-noise,ablate-inh,ablate-window,ablate-theta,ablate-tau,scaling")
+		expList    = flag.String("exp", "all", "comma-separated experiments: fig1a,fig1c,fig1d,fig4,fig5a,fig5b,fig6a,fig6b,fig7a,fig7b,fig8c,table2,anchor,ablate-noise,ablate-inh,ablate-window,ablate-theta,ablate-tau")
 		csvDir     = flag.String("csv", "", "directory to write CSV rows (optional)")
 		neurons    = flag.Int("neurons", 0, "override scale neurons")
 		train      = flag.Int("train", 0, "override scale training images")
-		workers    = flag.Int("workers", 0, "override engine workers")
+		workers    = flag.Int("workers", 0, "engine workers for the fig4 mirror and the -plasticity=lazy probes (0 = scale default); dense training runs inline")
 		quick      = flag.Bool("quick", false, "CI smoke mode: test scale, fast experiment subset, BENCH_test.json in the current directory")
 		benchDir   = flag.String("bench-json", "", "directory to write the BENCH_<scale>.json summary (\"\" = off; -quick defaults to .)")
 		metrics    = flag.String("metrics", "", "dump probe metrics to this file, or - for stdout (Prometheus text; *.json for JSON)")
@@ -487,20 +488,6 @@ func main() {
 		return res.Render(), nil
 	})
 
-	run("scaling", func() (string, error) {
-		res, err := experiments.AblateParallelScaling(scale, nil)
-		if err != nil {
-			return "", err
-		}
-		var rows [][]string
-		for _, row := range res.Rows {
-			rows = append(rows, []string{strconv.Itoa(row.Workers),
-				strconv.FormatInt(int64(row.Wall), 10), fmt.Sprintf("%g", row.Speedup)})
-		}
-		writeCSV("scaling", []string{"workers", "wall_ns", "speedup"}, rows)
-		return res.Render(), nil
-	})
-
 	run("anchor", func() (string, error) {
 		res, err := experiments.TableBaselineAnchor(scale, 3)
 		if err != nil {
@@ -521,6 +508,8 @@ func main() {
 
 	// Instrumented probe: a small observed training run whose per-phase
 	// histograms and counters anchor the benchmark summary and feed -metrics.
+	// It builds its network itself so that -plasticity selects its STDP
+	// schedule and -workers sizes the pool a lazy network flushes on.
 	reg := obs.NewRegistry()
 	probeNeurons := scale.Neurons
 	if probeNeurons > 32 {
@@ -531,27 +520,13 @@ func main() {
 		probeImages = 128
 	}
 	ds := dataset.SynthDigits(probeImages, 11)
-	sim, err := core.New(core.Options{
-		Inputs:     ds.Pixels(),
-		Neurons:    probeNeurons,
-		Workers:    scale.Workers,
-		Classes:    ds.NumClasses,
-		Observer:   reg,
-		Plasticity: plastMode,
-		Seed:       11,
-	})
+	probeWall, err := trainProbe(ds, probeNeurons, scale.Workers, plastMode, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psbench: probe:", err)
 		os.Exit(1)
 	}
-	probeStart := time.Now()
-	if err := sim.Train(ds, nil); err != nil {
-		fmt.Fprintln(os.Stderr, "psbench: probe:", err)
-		os.Exit(1)
-	}
-	sim.Close()
 	fmt.Printf("probe: trained %d images × %d neurons in %v (instrumented)\n",
-		probeImages, probeNeurons, time.Since(probeStart).Round(time.Millisecond))
+		probeImages, probeNeurons, probeWall.Round(time.Millisecond))
 
 	var plastCmp *plasticityBench
 	if plastMode == network.LazyPlasticity {
@@ -619,6 +594,44 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// trainProbe trains a float32 deterministic-STDP network of the given size
+// on ds, recording into reg, and returns the training wall time. workers
+// sizes the executor a lazy network flushes on (0 = GOMAXPROCS); a dense
+// network never calls it, but the pool's instruments are registered either
+// way, so the probe's metric set does not depend on the mode.
+func trainProbe(ds *dataset.Dataset, neurons, workers int, mode network.PlasticityMode, reg *obs.Registry) (time.Duration, error) {
+	m := config.Model{Rule: synapse.Deterministic.String(), Preset: string(synapse.PresetFloat), Seed: 11}
+	cfg, ctl, err := m.Resolve(ds.Pixels(), neurons)
+	if err != nil {
+		return 0, err
+	}
+	if workers == 0 {
+		workers = engine.Auto
+	}
+	exec := engine.New(workers)
+	defer exec.Close()
+	engine.Instrument(exec, reg)
+	net, err := network.New(cfg,
+		network.WithExecutor(exec),
+		network.WithObserver(reg),
+		network.WithPlasticity(mode))
+	if err != nil {
+		return 0, err
+	}
+	opts := learn.DefaultOptions()
+	opts.Control = ctl
+	opts.NumClasses = ds.NumClasses
+	tr, err := learn.New(net, opts)
+	if err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	if err := tr.Train(ds, nil); err != nil {
+		return 0, err
+	}
+	return time.Since(start), nil
 }
 
 // plasticityThroughput measures presentation throughput of the dense and

@@ -95,7 +95,7 @@ func parseOptions(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&f.LabelImages, "label", 300, "labeling images (paper: 1000)")
 	fs.IntVar(&f.InferImages, "infer", 500, "inference images (paper: 9000)")
 	fs.Float64Var(&f.TLearnMS, "tlearn", 0, "presentation time ms (0 = preset)")
-	fs.IntVar(&f.Workers, "workers", 0, "engine workers (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&f.Workers, "workers", 0, "engine workers for the held-out evaluation fan-out (0 = GOMAXPROCS, 1 = sequential); training runs inline")
 	fs.Uint64Var(&f.Seed, "seed", 7, "master seed")
 	fs.IntVar(&o.showMaps, "maps", 0, "print N conductance maps after training")
 	fs.BoolVar(&o.progress, "progress", true, "print moving error during training")
@@ -240,6 +240,10 @@ func run(o options) error {
 		return err
 	}
 	cfg, opts := res.Net, res.Learn
+	// The pool sizes only the held-out evaluation's batch fan-out below: a
+	// dense network runs every training step inline. It is built and
+	// instrumented up front so that every metrics dump, mid-run ones too,
+	// lists the engine's series.
 	w := res.Workers
 	if w == 0 {
 		w = engine.Auto // CLI convention: 0 means all cores
@@ -247,7 +251,7 @@ func run(o options) error {
 	exec := engine.New(w)
 	defer exec.Close()
 	engine.Instrument(exec, reg)
-	net, err := network.New(cfg, network.WithExecutor(exec), network.WithObserver(reg))
+	net, err := network.New(cfg, network.WithObserver(reg))
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 
 	"parallelspikesim/internal/dataset"
-	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/synapse"
@@ -59,9 +58,7 @@ func run(out, data, rule string, neurons, nTrain, maps int, seed uint64) error {
 	}
 	syn.Seed = seed
 	cfg := network.DefaultConfig(train.Pixels(), neurons, syn)
-	pool := engine.New(engine.Auto)
-	defer pool.Close()
-	net, err := network.New(cfg, network.WithExecutor(pool))
+	net, err := network.New(cfg)
 	if err != nil {
 		return err
 	}

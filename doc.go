@@ -6,6 +6,8 @@
 // learning.
 //
 // The root package carries the per-table/figure benchmarks (bench_test.go);
-// the implementation lives under internal/ — see README.md for the map and
-// internal/core for the top-level API.
+// the implementation lives under internal/ — see README.md for the map.
+// A run starts from internal/config: config.Model.Resolve gives the network
+// configuration and frequency control that network.New and learn.New (or
+// learn.Run) take.
 package parallelspikesim

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"log"
 
-	"parallelspikesim/internal/core"
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
+	"parallelspikesim/internal/learn"
+	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/synapse"
 	"parallelspikesim/internal/viz"
 )
@@ -23,22 +25,22 @@ func main() {
 
 	accs := map[synapse.RuleKind]float64{}
 	for _, rule := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
-		sim, err := core.New(core.Options{
-			Inputs:  train.Pixels(),
-			Neurons: 80,
-			Rule:    rule,
-			Seed:    7,
-		})
+		m := config.Model{Rule: rule.String(), Preset: string(synapse.PresetFloat), Seed: 7}
+		cfg, ctl, err := m.Resolve(train.Pixels(), 80)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sim.Train(train, nil); err != nil {
-			log.Fatal(err)
-		}
-		conf, err := sim.Evaluate(test, 200)
+		net, err := network.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		opts := learn.DefaultOptions()
+		opts.Control = ctl
+		res, err := learn.Run(net, opts, train, test, 200)
+		if err != nil {
+			log.Fatal(err)
+		}
+		conf := res.Confusion
 		accs[rule] = conf.Accuracy()
 		fmt.Printf("\n%s STDP on fashion: accuracy %.1f%%\n", rule, 100*conf.Accuracy())
 		fmt.Println("per-class recall:")
@@ -47,14 +49,15 @@ func main() {
 		}
 		var tiles []string
 		for n := 0; n < 3; n++ {
-			tile, err := viz.ConductanceASCII(sim.ReceptiveField(n), train.Width, train.Height)
+			rf := make([]float64, cfg.NumInputs)
+			net.Syn.Column(n, rf)
+			tile, err := viz.ConductanceASCII(rf, train.Width, train.Height)
 			if err != nil {
 				log.Fatal(err)
 			}
 			tiles = append(tiles, tile)
 		}
 		fmt.Println(viz.TileGrid(tiles, 3))
-		sim.Close()
 	}
 
 	fmt.Printf("stochastic − deterministic accuracy gap on the complex set: %+.1f points\n",

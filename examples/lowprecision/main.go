@@ -9,35 +9,37 @@ import (
 	"fmt"
 	"log"
 
-	"parallelspikesim/internal/core"
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
 	"parallelspikesim/internal/fixed"
+	"parallelspikesim/internal/learn"
+	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/synapse"
 )
 
 func run(rule synapse.RuleKind, preset synapse.Preset, rounding fixed.Rounding,
 	train, test *dataset.Dataset) float64 {
-	r := rounding
-	sim, err := core.New(core.Options{
-		Inputs:   train.Pixels(),
-		Neurons:  64,
-		Rule:     rule,
-		Preset:   preset,
-		Rounding: &r,
+	m := config.Model{
+		Rule:     rule.String(),
+		Preset:   string(preset),
+		Rounding: rounding.String(),
 		Seed:     7,
-	})
+	}
+	cfg, ctl, err := m.Resolve(train.Pixels(), 64)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sim.Close()
-	if err := sim.Train(train, nil); err != nil {
-		log.Fatal(err)
-	}
-	conf, err := sim.Evaluate(test, 150)
+	net, err := network.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return conf.Accuracy()
+	opts := learn.DefaultOptions()
+	opts.Control = ctl
+	res, err := learn.Run(net, opts, train, test, 150)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res.Accuracy
 }
 
 func main() {

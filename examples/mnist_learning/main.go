@@ -14,8 +14,10 @@ import (
 	"os"
 	"time"
 
-	"parallelspikesim/internal/core"
+	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
+	"parallelspikesim/internal/learn"
+	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/synapse"
 	"parallelspikesim/internal/viz"
 )
@@ -38,36 +40,35 @@ func main() {
 	}
 
 	for _, rule := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
-		sim, err := core.New(core.Options{
-			Inputs:  train.Pixels(),
-			Neurons: 80,
-			Rule:    rule,
-			Seed:    7,
-		})
+		m := config.Model{Rule: rule.String(), Preset: string(synapse.PresetFloat), Seed: 7}
+		cfg, ctl, err := m.Resolve(train.Pixels(), 80)
 		if err != nil {
 			log.Fatal(err)
 		}
-		start := time.Now()
-		if err := sim.Train(train, nil); err != nil {
+		net, err := network.New(cfg)
+		if err != nil {
 			log.Fatal(err)
 		}
-		conf, err := sim.Evaluate(test, 200)
+		opts := learn.DefaultOptions()
+		opts.Control = ctl
+		res, err := learn.Run(net, opts, train, test, 200)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%s STDP: accuracy %.1f%% in %v\n",
-			rule, 100*conf.Accuracy(), time.Since(start).Round(time.Second))
+			rule, 100*res.Accuracy, (res.TrainWall + res.EvalWall).Round(time.Second))
 
 		// Show two learned receptive fields (the Fig 5a maps).
 		var tiles []string
 		for n := 0; n < 2; n++ {
-			tile, err := viz.ConductanceASCII(sim.ReceptiveField(n), train.Width, train.Height)
+			rf := make([]float64, cfg.NumInputs)
+			net.Syn.Column(n, rf)
+			tile, err := viz.ConductanceASCII(rf, train.Width, train.Height)
 			if err != nil {
 				log.Fatal(err)
 			}
 			tiles = append(tiles, tile)
 		}
 		fmt.Println(viz.TileGrid(tiles, 2))
-		sim.Close()
 	}
 }

@@ -2,15 +2,25 @@
 // paper's Fig 2 flow has the CPU "construct the simulation environment with
 // configuration and input data file"; this package is that configuration
 // file: a JSON document selecting the data set, network geometry, learning
-// rule, precision, rounding, frequency control and engine parallelism, with
-// validation and defaulting.
+// rule, precision, rounding, frequency control and evaluation parallelism,
+// with validation and defaulting.
 //
-// It is also the one place a string-configured run is resolved. Model, the
-// part of a file that fixes how a network learns and presents images, is
-// what pssim (from a file or from its flags) and psserve (from its flags,
-// once per snapshot geometry) turn into a network.Config and an
-// encode.Control through Model.Resolve. Every field is obeyed; a tool's own
+// It is also where a run is resolved. Model, the part of a file that fixes
+// how a network learns and presents images, is what pssim (from a file or
+// from its flags), psserve (from its flags, once per snapshot geometry),
+// psbench's instrumented probe and the examples turn into a network.Config
+// and an encode.Control through Model.Resolve; network.New and learn.New
+// (or learn.Run) take it from there. Every field is obeyed; a tool's own
 // flags, such as pssim's -format, apply after resolution.
+//
+// Typical use:
+//
+//	m := config.Model{Rule: "stochastic", Preset: "float32", Seed: 7}
+//	cfg, ctl, err := m.Resolve(784, 100)
+//	net, err := network.New(cfg)
+//	opts := learn.DefaultOptions()
+//	opts.Control = ctl
+//	res, err := learn.Run(net, opts, trainSet, testSet, 1000)
 package config
 
 import (
@@ -43,6 +53,9 @@ type File struct {
 
 	Model
 
+	// Workers sizes the worker pool of the held-out evaluation's batch
+	// fan-out (0 = GOMAXPROCS, 1 = sequential). Training runs every step
+	// inline and uses no pool.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -1,13 +1,17 @@
 package config
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"parallelspikesim/internal/encode"
 	"parallelspikesim/internal/fixed"
+	"parallelspikesim/internal/network"
+	"parallelspikesim/internal/synapse"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -171,5 +175,54 @@ func TestSaveIsIndentedJSON(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "\n  \"data\"") {
 		t.Errorf("not indented: %q", raw[:40])
+	}
+}
+
+// TestResolveMatchesPresetConfig pins Model.Resolve to its definition: for
+// every preset, rule and override, the network config is
+// network.DefaultConfig over the preset's Table I row with the rule,
+// rounding and seed applied, and the control is the preset's operating
+// point, each with the override on top.
+func TestResolveMatchesPresetConfig(t *testing.T) {
+	overrides := []struct {
+		name  string
+		model func(*Model)
+		want  func(*synapse.Config, *encode.Control)
+	}{
+		{"none", func(*Model) {}, func(*synapse.Config, *encode.Control) {}},
+		{"rounding",
+			func(m *Model) { m.Rounding = "truncation" },
+			func(syn *synapse.Config, _ *encode.Control) { syn.Rounding = fixed.Truncate }},
+		{"tlearn",
+			func(m *Model) { m.TLearnMS = 40 },
+			func(_ *synapse.Config, ctl *encode.Control) { ctl.TLearnMS = 40 }},
+	}
+	for _, p := range synapse.PresetNames() {
+		for _, kind := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
+			for _, ov := range overrides {
+				t.Run(fmt.Sprintf("%s/%v/%s", p, kind, ov.name), func(t *testing.T) {
+					syn, wantCtl, err := synapse.PresetConfig(p, kind)
+					if err != nil {
+						t.Fatal(err)
+					}
+					syn.Seed = 5
+					ov.want(&syn, &wantCtl)
+					wantCfg := network.DefaultConfig(16, 3, syn)
+
+					m := Model{Rule: kind.String(), Preset: string(p), Seed: 5}
+					ov.model(&m)
+					cfg, ctl, err := m.Resolve(16, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if cfg != wantCfg {
+						t.Errorf("network config:\ngot  %+v\nwant %+v", cfg, wantCfg)
+					}
+					if ctl != wantCtl {
+						t.Errorf("control: got %+v, want %+v", ctl, wantCtl)
+					}
+				})
+			}
+		}
 	}
 }

@@ -149,22 +149,6 @@ func poissonThreshold(p float64) uint64 {
 	}
 }
 
-// Len returns the number of spike trains (pixels).
-func (s *Source) Len() int { return len(s.rates) }
-
-// Rate returns the target rate of train i in Hz.
-func (s *Source) Rate(i int) float64 { return s.rates[i] }
-
-// ExpectedSpikes returns the expected total spike count over a presentation
-// of durationMS, summed across all trains.
-func (s *Source) ExpectedSpikes(durationMS float64) float64 {
-	sum := 0.0
-	for _, r := range s.rates {
-		sum += r * durationMS / 1000
-	}
-	return sum
-}
-
 // Control is the frequency-control module of Fig 2: it couples an input
 // band with the per-image presentation time, implementing the paper's two
 // phases ("frequency boost and learning time reduction").

@@ -74,11 +74,11 @@ func TestNewSourceValidation(t *testing.T) {
 		t.Error("invalid band accepted")
 	}
 	s, err := NewSource([]uint8{0, 255}, BaselineBand(), 1, 0)
-	if err != nil || s.Len() != 2 {
+	if err != nil || len(s.rates) != 2 {
 		t.Fatalf("NewSource: %v", err)
 	}
-	if s.Rate(0) != 1 || s.Rate(1) != 22 {
-		t.Fatalf("rates = %v, %v", s.Rate(0), s.Rate(1))
+	if s.rates[0] != 1 || s.rates[1] != 22 {
+		t.Fatalf("rates = %v, %v", s.rates[0], s.rates[1])
 	}
 }
 
@@ -96,7 +96,7 @@ func TestPoissonRateAccuracy(t *testing.T) {
 		}
 	}
 	for i := range img {
-		want := s.Rate(i)
+		want := s.rates[i]
 		got := float64(counts[i]) / (steps / 1000.0)
 		if math.Abs(got-want)/want > 0.05 {
 			t.Errorf("pixel %d: measured %v Hz, want %v", i, got, want)
@@ -155,11 +155,21 @@ func TestPresentationsDecorrelated(t *testing.T) {
 	}
 }
 
+// expectedSpikes returns the expected total spike count of s over a
+// presentation of durationMS, summed across all trains.
+func expectedSpikes(s *Source, durationMS float64) float64 {
+	sum := 0.0
+	for _, r := range s.rates {
+		sum += r * durationMS / 1000
+	}
+	return sum
+}
+
 func TestExpectedSpikes(t *testing.T) {
 	img := []uint8{255, 255}
 	s, _ := NewSource(img, Band{MinHz: 0, MaxHz: 10}, 1, 0)
-	if got := s.ExpectedSpikes(1000); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("ExpectedSpikes = %v, want 20", got)
+	if got := expectedSpikes(s, 1000); math.Abs(got-20) > 1e-9 {
+		t.Fatalf("expected spikes = %v, want 20", got)
 	}
 }
 
@@ -224,7 +234,7 @@ func TestBandMonotoneProperty(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		return sHi.ExpectedSpikes(100) >= sLo.ExpectedSpikes(100)
+		return expectedSpikes(sHi, 100) >= expectedSpikes(sLo, 100)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -252,7 +262,7 @@ func TestPrepareRefreshOnDTChange(t *testing.T) {
 	// A plan at a different dt must not use the stale thresholds:
 	// p = 1000 Hz × 0.1 ms = 0.1 → ~10% spike rate, not ~100%.
 	p := s.BuildPlan(0, 0.1, 10000)
-	rate := float64(p.Spikes()) / 10000
+	rate := float64(len(p.spikes)) / 10000
 	if rate > 0.15 {
 		t.Fatalf("stale thresholds used after dt change: fire rate %v", rate)
 	}
@@ -315,7 +325,7 @@ func TestRebindWithoutPrepareIsCorrect(t *testing.T) {
 	if err := src.Rebind(hot, band, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := src.BuildPlan(0, 1, 1).Spikes(); got != len(hot) {
+	if got := len(src.BuildPlan(0, 1, 1).spikes); got != len(hot) {
 		t.Fatalf("rebound source fired %d trains, want all %d (stale thresholds leaked)", got, len(hot))
 	}
 }

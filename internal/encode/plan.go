@@ -63,9 +63,6 @@ func (s *Source) BuildPlanInto(p *Plan, startStep uint64, dt float64, steps int)
 // Steps returns the number of simulation steps the plan covers.
 func (p *Plan) Steps() int { return len(p.offsets) - 1 }
 
-// Spikes returns the total spike count across all steps.
-func (p *Plan) Spikes() int { return len(p.spikes) }
-
 // Step appends the pixel indices spiking on presentation-relative step s
 // (ascending) and returns the extended slice.
 //

@@ -62,8 +62,8 @@ func comparePlan(t *testing.T, label string, p *Plan, want [][]int) {
 			}
 		}
 	}
-	if p.Spikes() != total {
-		t.Fatalf("%s: plan reports %d spikes, dense emitted %d", label, p.Spikes(), total)
+	if len(p.spikes) != total {
+		t.Fatalf("%s: plan holds %d spikes, dense emitted %d", label, len(p.spikes), total)
 	}
 }
 
@@ -241,8 +241,8 @@ func TestBuildPlanZeroSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := src.BuildPlan(0, 1, 0)
-	if p.Steps() != 0 || p.Spikes() != 0 {
-		t.Fatalf("zero-step plan: %d steps, %d spikes", p.Steps(), p.Spikes())
+	if p.Steps() != 0 || len(p.spikes) != 0 {
+		t.Fatalf("zero-step plan: %d steps, %d spikes", p.Steps(), len(p.spikes))
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ func TestZeroRateNeverSpikesPoisson(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.BuildPlan(0, 1, 5000).Spikes(); got != 0 {
+	if got := len(s.BuildPlan(0, 1, 5000).spikes); got != 0 {
 		t.Fatalf("zero-rate trains spiked %d times", got)
 	}
 }

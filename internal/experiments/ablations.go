@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"parallelspikesim/internal/dataset"
-	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/synapse"
@@ -134,92 +132,6 @@ func AblateSynapticTrace(s Scale, tauMS []float64) (*AblationResult, error) {
 	return res, nil
 }
 
-// ScalingRow is one point of the engine-parallelism sweep.
-type ScalingRow struct {
-	Workers int
-	Wall    time.Duration
-	Speedup float64
-}
-
-// ScalingResult measures training wall time versus worker count — the
-// GPU-substitute's answer to the paper's parallel-speedup claims.
-type ScalingResult struct {
-	Neurons int
-	Images  int
-	Rows    []ScalingRow
-}
-
-// AblateParallelScaling trains the same workload under different worker
-// counts and reports wall-clock speedup over sequential execution. Results
-// are bit-identical across rows (counter-based RNG), so only time varies.
-func AblateParallelScaling(s Scale, workerCounts []int) (*ScalingResult, error) {
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, 8}
-	}
-	train, _, err := makeData(Digits, s)
-	if err != nil {
-		return nil, err
-	}
-	syn, ctl, err := synapse.PresetConfig(synapse.PresetFloat, synapse.Stochastic)
-	if err != nil {
-		return nil, err
-	}
-	syn.Seed = s.Seed
-	res := &ScalingResult{Neurons: s.Neurons, Images: train.Len()}
-	var base time.Duration
-	for _, w := range workerCounts {
-		cfg := network.DefaultConfig(train.Pixels(), s.Neurons, syn)
-		ww := w
-		if ww == 0 {
-			ww = engine.Auto
-		}
-		exec := engine.New(ww)
-		net, err := network.New(cfg, network.WithExecutor(exec))
-		if err != nil {
-			exec.Close()
-			return nil, err
-		}
-		opts := learn.DefaultOptions()
-		opts.Control = ctl
-		opts.NumClasses = train.NumClasses
-		tr, err := learn.New(net, opts)
-		if err != nil {
-			exec.Close()
-			return nil, err
-		}
-		start := time.Now()
-		if err := tr.Train(train, nil); err != nil {
-			exec.Close()
-			return nil, err
-		}
-		wall := time.Since(start)
-		exec.Close()
-		row := ScalingRow{Workers: w, Wall: wall}
-		if w == workerCounts[0] {
-			base = wall
-			row.Speedup = 1
-		} else if wall > 0 {
-			row.Speedup = float64(base) / float64(wall)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
-// Render formats the scaling sweep.
-func (r *ScalingResult) Render() string {
-	rows := make([][]string, len(r.Rows))
-	for i, row := range r.Rows {
-		rows[i] = []string{
-			fmt.Sprintf("%d", row.Workers),
-			row.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.2fx", row.Speedup),
-		}
-	}
-	return fmt.Sprintf("Parallel scaling: %d neurons, %d images\n", r.Neurons, r.Images) +
-		renderTable([]string{"workers", "train wall", "speedup"}, rows)
-}
-
 // NoiseRow is one corruption level of the robustness sweep.
 type NoiseRow struct {
 	Corruption string
@@ -264,14 +176,8 @@ func AblateNoise(s Scale) (*NoiseResult, error) {
 		}
 		syn.Seed = s.Seed
 		cfg := network.DefaultConfig(train.Pixels(), s.Neurons, syn)
-		sw := s.Workers
-		if sw == 0 {
-			sw = engine.Auto
-		}
-		exec := engine.New(sw)
-		net, err := network.New(cfg, network.WithExecutor(exec))
+		net, err := network.New(cfg)
 		if err != nil {
-			exec.Close()
 			return nil, err
 		}
 		opts := learn.DefaultOptions()
@@ -279,28 +185,23 @@ func AblateNoise(s Scale) (*NoiseResult, error) {
 		opts.NumClasses = train.NumClasses
 		tr, err := learn.New(net, opts)
 		if err != nil {
-			exec.Close()
 			return nil, err
 		}
 		if err := tr.Train(train, nil); err != nil {
-			exec.Close()
 			return nil, err
 		}
 		labelSet, inferSet := test.LabelInferSplit(s.LabelImages)
 		model, err := tr.Label(labelSet)
 		if err != nil {
-			exec.Close()
 			return nil, err
 		}
 		for i, c := range corruptions {
 			corrupted, err := c.make(inferSet)
 			if err != nil {
-				exec.Close()
 				return nil, err
 			}
 			conf, err := tr.Evaluate(model, corrupted)
 			if err != nil {
-				exec.Close()
 				return nil, err
 			}
 			if rule == synapse.Deterministic {
@@ -309,7 +210,6 @@ func AblateNoise(s Scale) (*NoiseResult, error) {
 				res.Rows[i].Stoch = conf.Accuracy()
 			}
 		}
-		exec.Close()
 	}
 	return res, nil
 }

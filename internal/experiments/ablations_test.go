@@ -51,29 +51,6 @@ func TestAblateSynapticTraceSmoke(t *testing.T) {
 	}
 }
 
-func TestAblateParallelScaling(t *testing.T) {
-	s := TestScale()
-	s.TrainImages = 20
-	res, err := AblateParallelScaling(s, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("%d rows", len(res.Rows))
-	}
-	if res.Rows[0].Speedup != 1 {
-		t.Error("first row speedup should be 1")
-	}
-	for _, row := range res.Rows {
-		if row.Wall <= 0 {
-			t.Errorf("worker count %d: wall %v", row.Workers, row.Wall)
-		}
-	}
-	if !strings.Contains(res.Render(), "workers") {
-		t.Error("render missing header")
-	}
-}
-
 func TestAblateNoiseSmoke(t *testing.T) {
 	s := TestScale()
 	res, err := AblateNoise(s)

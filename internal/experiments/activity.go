@@ -25,10 +25,14 @@ type ActivityResult struct {
 }
 
 // FigActivityComparison regenerates Fig 4: cross-validates spiking activity
-// against the independent reference and compares simulation time.
+// against the independent reference and compares simulation time. workers
+// sizes the pooled mirror's executor (0 = GOMAXPROCS).
 func FigActivityComparison(cfg carlsim.Config, durationMS float64, workers int) (*ActivityResult, error) {
 	if durationMS <= 0 {
 		return nil, fmt.Errorf("experiments: duration %v", durationMS)
+	}
+	if workers == 0 {
+		workers = engine.Auto
 	}
 	topo := carlsim.RandomTopology(cfg.N, cfg.Synapses, cfg.Seed)
 

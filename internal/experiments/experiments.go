@@ -14,7 +14,6 @@ import (
 
 	"parallelspikesim/internal/dataset"
 	"parallelspikesim/internal/encode"
-	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/fixed"
 	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/network"
@@ -30,8 +29,12 @@ type Scale struct {
 	TrainImages int
 	LabelImages int
 	InferImages int
-	Workers     int // engine parallelism: 0 = GOMAXPROCS, 1 = sequential
-	Seed        uint64
+	// Workers sizes the worker pool of the Fig 4 activity mirror (and
+	// psbench's lazy-plasticity probes): 0 = GOMAXPROCS, 1 = sequential.
+	// Training runs every step inline (DESIGN.md §16.4), so it sizes no
+	// training run.
+	Workers int
+	Seed    uint64
 }
 
 // TestScale is the smoke-test size: seconds, shapes not guaranteed.
@@ -131,14 +134,7 @@ func runPipeline(spec RunSpec, s Scale) (*Outcome, error) {
 	if spec.Mutate != nil {
 		spec.Mutate(&cfg)
 	}
-	w := s.Workers
-	if w == 0 {
-		w = engine.Auto
-	}
-	exec := engine.New(w)
-	defer exec.Close()
-
-	net, err := network.New(cfg, network.WithExecutor(exec))
+	net, err := network.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -130,6 +130,24 @@ func TestParseRounding(t *testing.T) {
 	}
 }
 
+// TestParseRoundingRoundTrip checks that every rounding option's name
+// parses back to the option: callers holding a typed Rounding pass it to
+// config.Model as r.String(). The walk stops at the first value String does
+// not name.
+func TestParseRoundingRoundTrip(t *testing.T) {
+	n := 0
+	for r := Rounding(0); !strings.HasPrefix(r.String(), "Rounding("); r++ {
+		got, err := ParseRounding(r.String())
+		if err != nil || got != r {
+			t.Errorf("ParseRounding(%q) = %v, %v; want %v", r.String(), got, err, r)
+		}
+		n++
+	}
+	if n != 3 {
+		t.Errorf("walked %d rounding options, want 3", n)
+	}
+}
+
 func TestRoundingString(t *testing.T) {
 	if Truncate.String() != "truncation" || Nearest.String() != "nearest" || Stochastic.String() != "stochastic" {
 		t.Error("Rounding.String mismatch")

@@ -12,7 +12,6 @@ import (
 // counter-based internal/rng as a randomness source. Variable so the
 // analyzer tests can add fixture packages.
 var DetRandHotPackages = map[string]bool{
-	"parallelspikesim/internal/core":    true,
 	"parallelspikesim/internal/network": true,
 	"parallelspikesim/internal/synapse": true,
 	"parallelspikesim/internal/neuron":  true,

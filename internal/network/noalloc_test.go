@@ -28,9 +28,18 @@ func (c *countingExecutor) For(n int, fn func(chunk, lo, hi int)) {
 	c.Executor.For(n, fn)
 }
 
+// TestPresentStepsDoNotDispatch pins the premise that lets dense training
+// run without a worker pool: a dense network never calls its executor, in
+// learning or evaluation, while a lazy one calls it exactly once per
+// learning presentation that leaves deferred events to drain (one with a
+// post spike, since each learning post spike records one) and never
+// otherwise.
 func TestPresentStepsDoNotDispatch(t *testing.T) {
 	data := dataset.SynthDigits(3, 2)
-	ctl := encode.Control{Band: encode.HighFrequencyBand(), TLearnMS: 100}
+	// Under a 0 Hz floor a blank image sends no input spike, so its
+	// learning presentation has no post spike and leaves no event to drain.
+	images := append(data.Images, make([]uint8, len(data.Images[0])))
+	ctl := encode.Control{Band: encode.Band{MinHz: 0, MaxHz: 78}, TLearnMS: 100}
 	for _, kind := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
 		for _, mode := range []PlasticityMode{DensePlasticity, LazyPlasticity} {
 			name := kind.String() + "/" + mode.String()
@@ -40,21 +49,26 @@ func TestPresentStepsDoNotDispatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flushes := 0
-			for i, img := range data.Images {
+			flushes, quiet := 0, 0
+			for i, img := range images {
 				for _, learn := range []bool{true, false} {
 					exec.calls = 0
+					before := net.TotalExcSpikes
 					if _, err := net.Present(img, ctl, learn, nil); err != nil {
 						t.Fatal(err)
 					}
 					flushes += exec.calls
-					limit := 0
-					if mode == LazyPlasticity && learn {
-						limit = 1 // the end-of-presentation flush
+					spiked := net.TotalExcSpikes > before
+					if learn && !spiked {
+						quiet++
 					}
-					if exec.calls > limit {
-						t.Errorf("%s: image %d learn=%v made %d For calls, want at most %d",
-							name, i, learn, exec.calls, limit)
+					want := 0
+					if mode == LazyPlasticity && learn && spiked {
+						want = 1 // the end-of-presentation flush
+					}
+					if exec.calls != want {
+						t.Errorf("%s: image %d learn=%v made %d For calls, want %d",
+							name, i, learn, exec.calls, want)
 					}
 				}
 			}
@@ -63,6 +77,9 @@ func TestPresentStepsDoNotDispatch(t *testing.T) {
 			}
 			if mode == LazyPlasticity && flushes == 0 {
 				t.Errorf("%s: no end flush reached the executor; the counter is not wired", name)
+			}
+			if quiet == 0 {
+				t.Errorf("%s: every learning presentation spiked; the no-event case went untested", name)
 			}
 			pool.Close()
 		}

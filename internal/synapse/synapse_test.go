@@ -2,6 +2,7 @@ package synapse
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,23 @@ func TestParseRule(t *testing.T) {
 	}
 	if _, err := ParseRule("magic"); err == nil {
 		t.Error("unknown rule accepted")
+	}
+}
+
+// TestParseRuleRoundTrip checks that every rule's name parses back to the
+// rule: callers holding a typed RuleKind pass it to config.Model as
+// k.String(). The walk stops at the first value String does not name.
+func TestParseRuleRoundTrip(t *testing.T) {
+	n := 0
+	for k := RuleKind(0); !strings.HasPrefix(k.String(), "RuleKind("); k++ {
+		got, err := ParseRule(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseRule(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+		n++
+	}
+	if n != 2 {
+		t.Errorf("walked %d rules, want 2", n)
 	}
 }
 
