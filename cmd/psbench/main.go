@@ -86,7 +86,8 @@ type plasticityBench struct {
 // the float store, the one psserve serves: the per-row Go loop
 // (AccumulateWeightRowsGo) against AccumulateWeightRows, which runs the
 // AVX2 kernel where IntegrateKernel is "avx2" and that same loop
-// elsewhere.
+// elsewhere. RollKernel names the kernel the stochastic STDP draws ran
+// on: "avx512" or "go" (fixed.AVX512).
 type swarBench struct {
 	Format        string  `json:"format"`
 	Lanes         int     `json:"lanes"`
@@ -105,6 +106,7 @@ type swarBench struct {
 	MultiBlockedNs   int64   `json:"multi_blocked_ns"`
 	MultiSpeedup     float64 `json:"multi_speedup"` // multi_per_row_ns / multi_blocked_ns
 	IntegrateKernel  string  `json:"integrate_kernel"`
+	RollKernel       string  `json:"roll_kernel"`
 	MultiGoBlockedNs int64   `json:"multi_go_blocked_ns"`
 	MultiGoSpeedup   float64 `json:"multi_go_speedup"` // multi_per_row_ns / multi_go_blocked_ns
 
@@ -893,6 +895,7 @@ func swarProbe(f fixed.Format) (swarBench, error) {
 		MultiBlockedNs:   mt.blocked.Nanoseconds(),
 		MultiSpeedup:     float64(mt.perRow) / float64(mt.blocked),
 		IntegrateKernel:  integrateKernel(),
+		RollKernel:       rollKernel(),
 		MultiGoBlockedNs: mt.goBlocked.Nanoseconds(),
 		MultiGoSpeedup:   float64(mt.perRow) / float64(mt.goBlocked),
 
@@ -918,6 +921,15 @@ const (
 func integrateKernel() string {
 	if fixed.AVX2() {
 		return "avx2"
+	}
+	return "go"
+}
+
+// rollKernel names the kernel synapse.Plasticity draws its stochastic STDP
+// rolls on, in this build and on this host.
+func rollKernel() string {
+	if fixed.AVX512() {
+		return "avx512"
 	}
 	return "go"
 }

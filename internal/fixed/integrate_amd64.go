@@ -30,6 +30,29 @@ func detectAVX2() bool {
 	return ebx7&(1<<5) != 0
 }
 
+// avx512 reports whether this host runs the AVX-512F/DQ kernels: the CPU
+// has AVX-512F and AVX-512DQ, and the operating system saves the XMM, YMM,
+// opmask and both halves of the ZMM state (XCR0 bits 1, 2, 5, 6 and 7)
+// across context switches. It is read once, at package initialization.
+var avx512 = detectAVX512()
+
+func detectAVX512() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(1<<27) == 0 { // OSXSAVE
+		return false
+	}
+	const zmmState = 0b1110_0110
+	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const f, dq = 1 << 16, 1 << 17
+	return ebx7&(f|dq) == f|dq
+}
+
 // blocks8 runs AccumulateRows' 8-bit blocks over the block-aligned lanes
 // [lo, hi) on the AVX2 kernel, or on blocks8Go where the host lacks AVX2.
 func (p *Packing) blocks8(words []Word, stride int, rows []int, amp, decay float64, cur []float64, lo, hi int) {

@@ -556,3 +556,10 @@ func (p *Packing) accumulateBlocks16(words []Word, stride int, rows []int, amp f
 // neuron.Population.CandidatesRange. It is false off amd64, on a CPU
 // without AVX2 and in race builds, which run the Go kernels.
 func AVX2() bool { return avx2 }
+
+// AVX512 reports whether this build runs the AVX-512F/DQ assembly kernels
+// on this host: the stochastic STDP draws of synapse.Plasticity. It is
+// false off amd64, on a CPU without AVX-512F and AVX-512DQ or an operating
+// system that does not save the ZMM state, and in race builds, which run
+// the Go kernels.
+func AVX512() bool { return avx512 }

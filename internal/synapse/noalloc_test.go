@@ -43,15 +43,42 @@ func TestNoAllocAccumulateSpikesRange(t *testing.T) {
 	}
 }
 
+// TestNoAllocOnPostSpike: both rules on a small 8-bit store, and the
+// stochastic kernel at the train-fast geometry, 784 pres × 1000 posts at
+// the high-frequency preset on the packed Q1.7 and the float32 store:
+// whole 64-pre blocks, the short last block, and a range split off the
+// 8-lane grid.
 func TestNoAllocOnPostSpike(t *testing.T) {
 	skipIfInstrumented(t)
-	for _, kind := range []RuleKind{Deterministic, Stochastic} {
-		cfg, _, err := PresetConfig(Preset8Bit, kind)
+	// Mix of recent (inside the LTP window) and stale pre spikes so both
+	// the potentiation and depression arms run.
+	small := []float64{Never, 38, 12, 39.5, 5, Never}
+	wide := make([]float64, 784)
+	for i := range wide {
+		wide[i] = float64(i % 41)
+		if i%7 == 0 {
+			wide[i] = Never
+		}
+	}
+	for _, c := range []struct {
+		preset  Preset
+		format  fixed.Format
+		kind    RuleKind
+		lastPre []float64
+		nPost   int
+	}{
+		{Preset8Bit, fixed.Q1p7, Deterministic, small, 4},
+		{Preset8Bit, fixed.Q1p7, Stochastic, small, 4},
+		{PresetHighFreq, fixed.Q1p7, Stochastic, wide, 1000},
+		{PresetHighFreq, fixed.Float32, Stochastic, wide, 1000},
+	} {
+		cfg, _, err := PresetConfig(c.preset, c.kind)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Format = c.format
 		cfg.Seed = 41
-		m, err := NewMatrix(6, 4, cfg.Format)
+		m, err := NewMatrix(len(c.lastPre), c.nPost, cfg.Format)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,17 +87,16 @@ func TestNoAllocOnPostSpike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Mix of recent (inside the LTP window) and stale pre spikes so
-		// both the potentiation and depression arms run.
-		lastPre := []float64{Never, 38, 12, 39.5, 5, Never}
+		n, cut := len(c.lastPre), len(c.lastPre)/2+1
 		step := uint64(0)
 		avg := testing.AllocsPerRun(50, func() {
-			p.OnPostSpikeRange(1, 40, lastPre, step, 0, len(lastPre))
-			p.OnPostSpikeRange(2, 40, lastPre, step, 0, 6)
+			p.OnPostSpikeRange(int(step*389)%c.nPost, 40, c.lastPre, step, 0, n)
+			p.OnPostSpikeRange(2, 40, c.lastPre, step, 0, cut)
+			p.OnPostSpikeRange(2, 40, c.lastPre, step, cut, n)
 			step++
 		})
 		if avg != 0 {
-			t.Errorf("%v: OnPostSpikeRange allocates %.1f per run, want 0", kind, avg)
+			t.Errorf("%s %s %v: OnPostSpikeRange allocates %.1f per run, want 0", c.preset, c.format, c.kind, avg)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package synapse
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"parallelspikesim/internal/check"
@@ -20,12 +21,16 @@ const (
 )
 
 // ageTabLen is the number of whole-millisecond ages whose stochastic-rule
-// probabilities NewPlasticity tables. At a whole-ms step the absolute clock
-// and every last-pre time are exact integers, so every age is too, and
-// last-pre times reset each presentation: 1024 ms covers both paper
-// presentation lengths (100 and 500 ms). Older or fractional ages evaluate
-// the closed form.
+// thresholds NewPlasticity tables, beside one more slot for a pre that
+// never fired. At a whole-ms step the absolute clock and every last-pre
+// time are exact integers, so every age is too, and last-pre times reset
+// each presentation: 1024 ms covers both paper presentation lengths (100
+// and 500 ms). Older or fractional ages evaluate the closed form.
 const ageTabLen = 1024
+
+// rollBlockLen is the number of pres the stochastic kernel decides at once:
+// one bit each in a uint64 mask.
+const rollBlockLen = 64
 
 // Plasticity applies STDP updates to a conductance matrix according to a
 // Config. It owns no RNG state: every stochastic decision is a pure function
@@ -53,13 +58,13 @@ type Plasticity struct {
 	ceilCode  uint32 // GCeil as a lane code (valid when fastStep)
 	floorCode uint32 // Det.GMin as a lane code (valid when fastStep)
 
-	// Stochastic-rule state, fixed at NewPlasticity (see stochRoll and
+	// Stochastic-rule state, fixed at NewPlasticity (see rollThr and
 	// DESIGN.md §11). potKey/depKey are the roll hashes folded over (Seed,
-	// tag); potTab[k] = Stoch.PPot(k) and depTab[k] = Stoch.PDepEvent(k, W)
-	// for whole-ms ages k < ageTabLen. Nil tables under the deterministic
-	// rule.
+	// tag); thr[k] = thrAt(k) for whole-ms ages k < ageTabLen and
+	// thr[ageTabLen] = thrAt(+Inf), the pre that never fired. Nil under the
+	// deterministic rule.
 	potKey, depKey uint64
-	potTab, depTab []float64
+	thr            []rollThr
 
 	// Event counters (diagnostics). Updated atomically, once per call:
 	// range updates for different posts run on different workers.
@@ -91,12 +96,11 @@ func NewPlasticity(cfg Config, m *Matrix) (*Plasticity, error) {
 	if cfg.Kind == Stochastic {
 		p.potKey = rng.HashMix(rng.HashInit(cfg.Seed), tagPotRoll)
 		p.depKey = rng.HashMix(rng.HashInit(cfg.Seed), tagDepRoll)
-		p.potTab = make([]float64, ageTabLen)
-		p.depTab = make([]float64, ageTabLen)
-		for k := range p.potTab {
-			p.potTab[k] = cfg.Stoch.PPot(float64(k))
-			p.depTab[k] = cfg.Stoch.PDepEvent(float64(k), cfg.Det.WindowMS)
+		p.thr = make([]rollThr, ageTabLen+1)
+		for k := range ageTabLen {
+			p.thr[k] = p.thrAt(float64(k))
 		}
+		p.thr[ageTabLen] = p.thrAt(math.Inf(1))
 	}
 	return p, nil
 }
@@ -189,78 +193,149 @@ func (p *Plasticity) rollKeys(step uint64) (hPot, hDep uint64) {
 	return rng.HashMix(p.potKey, step), rng.HashMix(p.depKey, step)
 }
 
+// rollThr holds the stochastic rule's two decisions at one age as integer
+// thresholds on the 53-bit draw k = Hash64(Seed, tag, step, pre, post) >> 11:
+// LTP passes when its draw is below pot, LTD when its draw is below dep.
+type rollThr struct{ pot, dep uint64 }
+
+// drawThreshold is the threshold at which a 53-bit draw k decides as the
+// stochastic rule's roll against probability prob under ceiling gamma:
+// u < gamma && rng.Bernoulli's decision, with u = Float64From's k·2⁻⁵³.
+// For prob > 0 that decision is u < min(prob, gamma), since γ ≤ 1 and
+// Bernoulli passes every u < 1 when prob ≥ 1. k·2⁻⁵³ < x is k < x·2⁵³,
+// exact as a power-of-two scaling, and for integer k that is
+// k < ceil(x·2⁵³). prob never exceeds gamma (PPot and PDepEvent are γ
+// times a factor ≤ 1), so the min only states the ceiling. A prob that is
+// not above 0, NaN included, never passes.
+func drawThreshold(prob, gamma float64) uint64 {
+	if !(prob > 0) {
+		return 0
+	}
+	return uint64(math.Ceil(math.Min(prob, gamma) * (1 << 53)))
+}
+
+// thrAt is the closed form of the thresholds at age ms: LTP against
+// P_pot(age) (eq. 6) where that can be non-zero (finite age ≥ 0), LTD
+// against P_dep = PDepEvent(age, W) (eq. 7).
+func (p *Plasticity) thrAt(age float64) rollThr {
+	st := &p.Cfg.Stoch
+	var t rollThr
+	if age >= 0 && age <= math.MaxFloat64 {
+		t.pot = drawThreshold(st.PPot(age), st.GammaPot)
+	}
+	t.dep = drawThreshold(st.PDepEvent(age, p.Cfg.Det.WindowMS), st.GammaDep)
+	return t
+}
+
+// rollThr returns the thresholds at age ms from the table, and whether
+// age has a slot there: a whole number of ms below ageTabLen, or +Inf, a
+// pre that never fired, in the last slot. Any other age takes thrAt. The
+// range is checked before converting, because converting an out-of-range
+// float to int is implementation-defined. The closed form is left to the
+// caller so that this stays within the inlining budget.
+func (p *Plasticity) rollThr(age float64) (rollThr, bool) {
+	k := ageTabLen
+	if age >= 0 && age < ageTabLen {
+		if k = int(age); float64(k) != age {
+			return rollThr{}, false
+		}
+	} else if !(age > math.MaxFloat64) {
+		return rollThr{}, false
+	}
+	return p.thr[k], true
+}
+
 // stochRoll is the stochastic rule's decision for synapse (pre, post) whose
 // pre last fired age ms before the post spike: LTP with probability
 // P_pot(age) (eq. 6); failing that, LTD with probability
 // P_dep = PDepEvent(age, W) (eq. 7). hPot/hDep are rollKeys of the event's
-// step. Both schedules — the dense OnPostSpikeRange and the lazy
-// Queue.FlushRow — decide through this one function.
+// step. It is rollRange's decision for one synapse, used where synapses
+// come one at a time: the lazy Queue.FlushRow.
 //
 // It returns exactly what rng.Bernoulli(P, Seed, tag, step, pre, post)
-// returns against the closed-form P, while skipping work the outcome does
-// not depend on:
-//
-//   - The draw is the same Hash64: Hash64 is HashInit, one HashMix per
-//     counter and HashFin, so finishing the folded (Seed, tag, step) state
-//     with pre and post yields the same word. The finish is spelled out at
-//     both rolls: as a helper it exceeds the inlining budget, and the call
-//     per roll shows in the post-spike benchmarks.
-//   - P ≤ γ: eq. 6's exponential is ≤ 1 at age ≥ 0 and PDepEvent clamps
-//     its own to 1, so a draw u ≥ γ fails whatever P is and the exponential
-//     is evaluated only below the ceiling. There Bernoulli's own decision
-//     (P > 0 and, unless P ≥ 1, u < P) is kept as is.
-//   - P is read from the age tables exactly when age is a whole number of
-//     ms inside them: the same function at the same input.
-//
-// LTP is rolled only where P_pot can be non-zero (finite age ≥ 0);
-// elsewhere Bernoulli returns false without a draw.
+// returns against the closed-form P (see drawThreshold). The draw is the
+// same Hash64: Hash64 is HashInit, one HashMix per counter and HashFin, so
+// finishing the folded (Seed, tag, step) state with pre and post yields
+// the same word. The finish is spelled out at both rolls: as a helper it
+// exceeds the inlining budget, and the call per roll shows in the
+// post-spike benchmarks. LTP is drawn only where its threshold is above 0.
 //
 //psslint:noalloc
 func (p *Plasticity) stochRoll(age float64, hPot, hDep uint64, pre, post int) outcome {
-	st := &p.Cfg.Stoch
-	if age >= 0 && age < math.Inf(1) {
-		if u := rng.Float64From(rng.HashFin(rng.HashMix(rng.HashMix(hPot, uint64(pre)), uint64(post)))); u < st.GammaPot {
-			pp := 0.0
-			if k, ok := ageIndex(age); ok {
-				pp = p.potTab[k]
-			} else {
-				pp = st.PPot(age)
-			}
-			if passes(u, pp) {
-				return potUpdate
-			}
-		}
+	t, ok := p.rollThr(age)
+	if !ok {
+		t = p.thrAt(age)
 	}
-	if u := rng.Float64From(rng.HashFin(rng.HashMix(rng.HashMix(hDep, uint64(pre)), uint64(post)))); u < st.GammaDep {
-		pd := 0.0
-		if k, ok := ageIndex(age); ok {
-			pd = p.depTab[k]
-		} else {
-			pd = st.PDepEvent(age, p.Cfg.Det.WindowMS)
-		}
-		if passes(u, pd) {
-			return depUpdate
-		}
+	if t.pot > 0 && rng.HashFin(rng.HashMix(rng.HashMix(hPot, uint64(pre)), uint64(post)))>>11 < t.pot {
+		return potUpdate
+	}
+	if rng.HashFin(rng.HashMix(rng.HashMix(hDep, uint64(pre)), uint64(post)))>>11 < t.dep {
+		return depUpdate
 	}
 	return noUpdate
 }
 
-// ageIndex reports whether age is a whole number of ms inside the age
-// tables, and its index. The range is checked before converting, because
-// converting an out-of-range float to int is implementation-defined.
-func ageIndex(age float64) (int, bool) {
-	if age >= 0 && age < ageTabLen {
-		if k := int(age); float64(k) == age {
-			return k, true
-		}
+// rollDrawsGo fills pot[i] and dep[i] with the 53-bit draws of synapse
+// (lo+i, post) under the roll keys hPot and hDep:
+// HashFin(HashMix(HashMix(h, pre), post)) >> 11, stochRoll's draws. It is
+// the oracle of the AVX-512 kernel and the fallback where that kernel
+// does not run. dep must be at least as long as pot.
+//
+//psslint:noalloc
+func rollDrawsGo(hPot, hDep uint64, post, lo int, pot, dep []uint64) {
+	dep = dep[:len(pot)]
+	for i := range pot {
+		pre := uint64(lo + i)
+		pot[i] = rng.HashFin(rng.HashMix(rng.HashMix(hPot, pre), uint64(post))) >> 11
+		dep[i] = rng.HashFin(rng.HashMix(rng.HashMix(hDep, pre), uint64(post))) >> 11
 	}
-	return 0, false
 }
 
-// passes is rng.Bernoulli's decision for a draw u already taken: true with
-// probability prob, saturating outside [0, 1].
-func passes(u, prob float64) bool {
-	return prob > 0 && (prob >= 1 || u < prob)
+// rollRange runs the stochastic rule for the synapses [lo, hi) of column
+// post at step, and returns how many it potentiated and depressed. It
+// works in blocks of rollBlockLen pres. A block takes every draw first
+// (rollDraws), then decides each synapse with two integer compares against
+// the thresholds at its age, building a pot and a dep mask in which a
+// synapse that potentiates does not depress; then it applies the set bits
+// only. Each decision is stochRoll's: stochRoll skips draws its outcome
+// does not depend on, which changes no outcome, since every draw is a pure
+// function of its counters. The draws live on the stack, so callers on
+// disjoint posts share nothing.
+//
+//psslint:noalloc
+func (p *Plasticity) rollRange(post int, now float64, lastPre []float64, step uint64, lo, hi int) (pots, deps uint64) {
+	hPot, hDep := p.rollKeys(step)
+	var pot, dep [rollBlockLen]uint64
+	for ; lo < hi; lo += rollBlockLen {
+		n := min(hi-lo, rollBlockLen)
+		rollDraws(hPot, hDep, post, lo, pot[:n], dep[:n])
+		var potMask, depMask uint64
+		for i, last := range lastPre[lo : lo+n] {
+			t, ok := p.rollThr(now - last)
+			if !ok {
+				t = p.thrAt(now - last)
+			}
+			var bp, bd uint64
+			if pot[i] < t.pot {
+				bp = 1
+			}
+			if dep[i] < t.dep {
+				bd = 1
+			}
+			potMask |= bp << i
+			depMask |= bd << i
+		}
+		depMask &^= potMask
+		for m := potMask; m != 0; m &= m - 1 {
+			p.applyPot(lo+bits.TrailingZeros64(m), post, step)
+		}
+		for m := depMask; m != 0; m &= m - 1 {
+			p.applyDep(lo+bits.TrailingZeros64(m), post, step)
+		}
+		pots += uint64(bits.OnesCount64(potMask))
+		deps += uint64(bits.OnesCount64(depMask))
+	}
+	return pots, deps
 }
 
 // OnPostSpikeRange applies the learning rule for a post-neuron spike at absolute
@@ -280,7 +355,7 @@ func passes(u, prob float64) bool {
 //     (StochParams.PDepEvent). Loosely correlated events therefore change
 //     conductance only rarely — the paper's explanation for why stochastic
 //     STDP retains memory and survives coarse quantization (§IV-D). The
-//     decision is stochRoll's.
+//     range runs through rollRange, rollBlockLen pres at a time.
 //
 // Only input synapses [lo, hi) of the post column move: disjoint pre
 // ranges of one column never race, so a caller may split an update.
@@ -301,17 +376,7 @@ func (p *Plasticity) OnPostSpikeRange(post int, now float64, lastPre []float64, 
 			}
 		}
 	case Stochastic:
-		hPot, hDep := p.rollKeys(step)
-		for pre := lo; pre < hi; pre++ {
-			switch p.stochRoll(now-lastPre[pre], hPot, hDep, pre, post) {
-			case potUpdate:
-				p.applyPot(pre, post, step)
-				pots++
-			case depUpdate:
-				p.applyDep(pre, post, step)
-				deps++
-			}
-		}
+		pots, deps = p.rollRange(post, now, lastPre, step, lo, hi)
 	}
 	p.count(pots, deps)
 }

@@ -532,15 +532,24 @@ func onPostSpikeReference(p *Plasticity, post int, now float64, lastPre []float6
 // FuzzOnPostSpikeMatchesReference: OnPostSpikeRange moves every weight and
 // counter exactly as the reference loop does, across formats (float32,
 // flat-step Q1.7, Q1.15 with stochastic rounding), both rules, γ at 0, 1
-// and in between, and ages on every edge the folded arm distinguishes: never
-// fired, negative, 0, fractional, around the LTP window, around the age
-// table's end, and far beyond it.
+// and in between, and ages on every edge the stochastic kernel
+// distinguishes: never fired, negative, 0, fractional, around the LTP
+// window, around the threshold table's end, and far beyond it. Up to 256
+// pres, split at a fuzzed point, reach every block shape of the kernel:
+// whole 64-pre blocks, a short last block, ranges that start off the
+// 8-lane grid and cross a block edge. Posts run up to 1023.
 func FuzzOnPostSpikeMatchesReference(f *testing.F) {
-	f.Add(uint8(1), true, uint8(1), 0.37, 100.0, uint64(1), uint64(9), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 130, 140, 200})
-	f.Add(uint8(0), true, uint8(2), 0.0, 2000.0, uint64(5), uint64(1), []byte{3, 3, 130, 131, 255})
-	f.Add(uint8(2), true, uint8(0), 0.5, 50.5, uint64(7), uint64(3), []byte{6, 7, 8, 200, 201})
-	f.Add(uint8(2), false, uint8(1), 0.9, 1024.0, uint64(2), uint64(4), []byte{0, 7, 8, 9, 129})
-	f.Fuzz(func(t *testing.T, format uint8, stochastic bool, gammaSel uint8, gamma, now float64, seed, step uint64, ageSel []byte) {
+	f.Add(uint8(1), true, uint8(1), 0.37, 100.0, uint64(1), uint64(9), uint16(8), uint16(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 130, 140, 200})
+	f.Add(uint8(0), true, uint8(2), 0.0, 2000.0, uint64(5), uint64(1), uint16(2), uint16(1000), []byte{3, 3, 130, 131, 255})
+	f.Add(uint8(2), true, uint8(0), 0.5, 50.5, uint64(7), uint64(3), uint16(2), uint16(5), []byte{6, 7, 8, 200, 201})
+	f.Add(uint8(2), false, uint8(1), 0.9, 1024.0, uint64(2), uint64(4), uint16(3), uint16(64), []byte{0, 7, 8, 9, 129})
+	long := make([]byte, 200)
+	for i := range long {
+		long[i] = byte(i*37 + i/7)
+	}
+	f.Add(uint8(1), true, uint8(1), 0.25, 100.0, uint64(3), uint64(11), uint16(61), uint16(1021), long)
+	f.Add(uint8(0), true, uint8(1), 0.6, 100.0, uint64(4), uint64(12), uint16(133), uint16(389), long)
+	f.Fuzz(func(t *testing.T, format uint8, stochastic bool, gammaSel uint8, gamma, now float64, seed, step uint64, split, postSel uint16, ageSel []byte) {
 		kind := Deterministic
 		if stochastic {
 			kind = Stochastic
@@ -578,7 +587,7 @@ func FuzzOnPostSpikeMatchesReference(f *testing.F) {
 			w - 1, w, w + 1,
 			ageTabLen - 1, ageTabLen, ageTabLen + 1, 1e300,
 		}
-		if len(ageSel) == 0 || len(ageSel) > 64 {
+		if len(ageSel) == 0 || len(ageSel) > 256 {
 			return
 		}
 		lastPre := make([]float64, len(ageSel))
@@ -592,8 +601,10 @@ func FuzzOnPostSpikeMatchesReference(f *testing.F) {
 				lastPre[i] = Never
 			}
 		}
+		cut := int(split) % (len(lastPre) + 1)
+		post0 := int(postSel) % 1022
 		mk := func() *Plasticity {
-			m, err := NewMatrix(len(lastPre), 3, cfg.Format)
+			m, err := NewMatrix(len(lastPre), post0+2, cfg.Format)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -608,12 +619,12 @@ func FuzzOnPostSpikeMatchesReference(f *testing.F) {
 		if format%3 == 1 && !got.fastStep {
 			t.Fatal("Q1.7 at the high-frequency preset is not on the flat-step path")
 		}
-		// Three posts, a repeat on post 0 so saturation is reached from
-		// both sides, and a split range.
-		for i, post := range []int{0, 1, 2, 0} {
+		// Three spikes on two posts, a repeat so saturation is reached from
+		// both sides, and a range split at cut.
+		for i, post := range []int{post0, post0 + 1, post0} {
 			s := step + uint64(i)
-			got.OnPostSpikeRange(post, now, lastPre, s, 0, len(lastPre)/2)
-			got.OnPostSpikeRange(post, now, lastPre, s, len(lastPre)/2, len(lastPre))
+			got.OnPostSpikeRange(post, now, lastPre, s, 0, cut)
+			got.OnPostSpikeRange(post, now, lastPre, s, cut, len(lastPre))
 			onPostSpikeReference(want, post, now, lastPre, s, 0, len(lastPre))
 		}
 		gw, ww := got.M.Weights(), want.M.Weights()
@@ -630,11 +641,31 @@ func FuzzOnPostSpikeMatchesReference(f *testing.F) {
 	})
 }
 
-// TestAgeTablesMatchClosedForm: every tabled probability is the closed form
-// at its whole-ms age and never exceeds its γ — the ceiling stochRoll tests
-// the draw against before reading a probability. The sweep over fractional
-// and extreme ages checks the same ceiling for the ages the tables miss.
+// TestAgeTablesMatchClosedForm: at every tabled age, the never-fired
+// slot included, the threshold splits the 53-bit draws exactly where the
+// stochastic rule's roll against the closed form does: draw thr−1 passes
+// and draw thr fails, for u < γ && rng.Bernoulli's decision on u. The
+// sweep over fractional and extreme ages checks the closed-form fallback
+// the same way, and the ceiling P ≤ γ that drawThreshold's argument uses.
 func TestAgeTablesMatchClosedForm(t *testing.T) {
+	// roll is u < γ && Bernoulli(prob) on the draw u = d·2⁻⁵³.
+	roll := func(d uint64, prob, gamma float64) bool {
+		u := rng.Float64From(d << 11)
+		return u < gamma && prob > 0 && (prob >= 1 || u < prob)
+	}
+	const draws = 1 << 53
+	edge := func(what string, age float64, thr uint64, prob, gamma float64) {
+		t.Helper()
+		if thr > draws {
+			t.Fatalf("%s at age %v: threshold %d above 2^53", what, age, thr)
+		}
+		if thr > 0 && !roll(thr-1, prob, gamma) {
+			t.Fatalf("%s at age %v: draw thr−1 = %d fails (P %v, γ %v)", what, age, thr-1, prob, gamma)
+		}
+		if thr < draws && roll(thr, prob, gamma) {
+			t.Fatalf("%s at age %v: draw thr = %d passes (P %v, γ %v)", what, age, thr, prob, gamma)
+		}
+	}
 	gammas := []float64{0, 1e-9, 0.2, 0.3, 0.5, 0.9, 0.999999, 1}
 	for _, preset := range PresetNames() {
 		for _, gp := range gammas {
@@ -643,35 +674,75 @@ func TestAgeTablesMatchClosedForm(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Stoch.GammaPot, cfg.Stoch.GammaDep = gp, 1-gp
+			st, w := cfg.Stoch, cfg.Det.WindowMS
 			p, _ := newPair(t, cfg, 1, 1)
-			if len(p.potTab) != ageTabLen || len(p.depTab) != ageTabLen {
-				t.Fatalf("%s: tables %d/%d entries, want %d", preset, len(p.potTab), len(p.depTab), ageTabLen)
+			if len(p.thr) != ageTabLen+1 {
+				t.Fatalf("%s: table has %d entries, want %d", preset, len(p.thr), ageTabLen+1)
 			}
-			w := cfg.Det.WindowMS
-			for k := range p.potTab {
-				if p.potTab[k] != cfg.Stoch.PPot(float64(k)) || p.depTab[k] != cfg.Stoch.PDepEvent(float64(k), w) {
-					t.Fatalf("%s γ=%v: table entry %d is not the closed form", preset, gp, k)
+			check := func(age float64, thr rollThr) {
+				t.Helper()
+				pp := 0.0
+				if age >= 0 && !math.IsInf(age, 1) {
+					pp = st.PPot(age)
 				}
-				if p.potTab[k] > cfg.Stoch.GammaPot || p.depTab[k] > cfg.Stoch.GammaDep {
-					t.Fatalf("%s γ=%v: table entry %d (%v, %v) above γ", preset, gp, k, p.potTab[k], p.depTab[k])
+				edge("LTP", age, thr.pot, pp, st.GammaPot)
+				edge("LTD", age, thr.dep, st.PDepEvent(age, w), st.GammaDep)
+				if pp > st.GammaPot || st.PDepEvent(age, w) > st.GammaDep {
+					t.Fatalf("%s: P at age %v above γ", preset, age)
 				}
 			}
+			for k := range ageTabLen {
+				check(float64(k), p.thr[k])
+			}
+			check(math.Inf(1), p.thr[ageTabLen])
 			s := rng.NewStream(math.Float64bits(gp))
 			for i := 0; i < 2000; i++ {
 				age := math.Ldexp(s.Float64(), s.Intn(80)-60) // 2^-60 … 2^20 ms
-				if pp := cfg.Stoch.PPot(age); pp > cfg.Stoch.GammaPot {
-					t.Fatalf("%s: PPot(%v) = %v above γ_pot %v", preset, age, pp, cfg.Stoch.GammaPot)
+				if i%4 == 0 {
+					age = -age
 				}
-				if pd := cfg.Stoch.PDepEvent(age, w); pd > cfg.Stoch.GammaDep {
-					t.Fatalf("%s: PDepEvent(%v) = %v above γ_dep %v", preset, age, pd, cfg.Stoch.GammaDep)
+				thr, ok := p.rollThr(age)
+				if !ok {
+					thr = p.thrAt(age)
 				}
+				check(age, thr)
 			}
 		}
 	}
 	det, _ := newPair(t, floatConfig(Deterministic), 1, 1)
-	if det.potTab != nil || det.depTab != nil {
-		t.Fatal("deterministic rule built stochastic age tables")
+	if det.thr != nil {
+		t.Fatal("deterministic rule built a stochastic threshold table")
 	}
+}
+
+// FuzzRollDraws: the dispatching rollDraws, which runs the AVX-512 kernel
+// on the whole groups of eight where the host has it, leaves exactly
+// rollDrawsGo's draws, over random keys, posts, first pres and lengths
+// 0–200, and writes nothing past the range.
+func FuzzRollDraws(f *testing.F) {
+	f.Add(uint64(1), uint64(2), uint16(0), uint32(0), uint8(64))
+	f.Add(uint64(0), ^uint64(0), uint16(1023), uint32(783), uint8(7))
+	f.Add(uint64(0x9e3779b97f4a7c15), uint64(3), uint16(389), uint32(61), uint8(200))
+	f.Fuzz(func(t *testing.T, hPot, hDep uint64, post uint16, lo uint32, n uint8) {
+		if n > 200 {
+			return
+		}
+		const guard = 8
+		got := make([]uint64, 2*(int(n)+guard))
+		want := make([]uint64, len(got))
+		for i := range got {
+			got[i], want[i] = ^uint64(i), ^uint64(i)
+		}
+		gp, gd := got[:n], got[int(n)+guard:2*int(n)+guard]
+		wp, wd := want[:n], want[int(n)+guard:2*int(n)+guard]
+		rollDraws(hPot, hDep, int(post), int(lo), gp, gd)
+		rollDrawsGo(hPot, hDep, int(post), int(lo), wp, wd)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("word %d (n %d): got %#x, want %#x", i, n, got[i], want[i])
+			}
+		}
+	})
 }
 
 func BenchmarkDeterministicPostSpike784(b *testing.B) {
@@ -709,9 +780,26 @@ func BenchmarkStochasticPostSpike784(b *testing.B) {
 // whole ms from its own 5–78 Hz Poisson train over a 100 ms presentation
 // (Never if it has not fired).
 func BenchmarkStochasticPostSpikeTrainFast(b *testing.B) {
+	benchHighFreqPostSpike(b, fixed.Q1p7)
+}
+
+// BenchmarkStochasticPostSpikeHighFreqFloat32 is the same post spike on
+// the float32 store the highfreq preset trains by default.
+func BenchmarkStochasticPostSpikeHighFreqFloat32(b *testing.B) {
+	benchHighFreqPostSpike(b, fixed.Float32)
+}
+
+// benchHighFreqPostSpike times post spikes on a 784×1000 store of format f
+// at the high-frequency preset. The posts are scattered, (i·389) mod 1000,
+// so consecutive spikes touch different cache lines of every row, as a
+// winner-take-all layer's spikes do; cycling posts in order would let
+// neighbouring spikes share them.
+func benchHighFreqPostSpike(b *testing.B, f fixed.Format) {
 	cfg, ctl, _ := PresetConfig(PresetHighFreq, Stochastic)
-	cfg.Format = fixed.Q1p7
-	cfg.Rounding = fixed.Stochastic
+	if f != cfg.Format {
+		cfg.Format = f
+		cfg.Rounding = fixed.Stochastic
+	}
 	cfg.Seed = 1
 	m, _ := NewMatrix(784, 1000, cfg.Format)
 	m.InitUniform(rng.NewStream(2), 0, cfg.GCeil())
@@ -730,7 +818,24 @@ func BenchmarkStochasticPostSpikeTrainFast(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.OnPostSpikeRange(i%1000, now, lastPre, uint64(i), 0, len(lastPre))
+		p.OnPostSpikeRange((i*389)%1000, now, lastPre, uint64(i), 0, len(lastPre))
+	}
+}
+
+// BenchmarkRollDraws fills one train-fast post spike's 784 × 2 draws,
+// through the dispatch (the AVX-512 kernel where the host has it) and
+// through rollDrawsGo.
+func BenchmarkRollDraws(b *testing.B) {
+	pot, dep := make([]uint64, 784), make([]uint64, 784)
+	for _, k := range []struct {
+		name string
+		fn   func(hPot, hDep uint64, post, lo int, pot, dep []uint64)
+	}{{"dispatch", rollDraws}, {"go", rollDrawsGo}} {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.fn(uint64(i), ^uint64(i), i%1000, 0, pot, dep)
+			}
+		})
 	}
 }
 
