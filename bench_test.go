@@ -25,7 +25,6 @@ func benchScale() experiments.Scale {
 		TrainImages: 400,
 		LabelImages: 100,
 		InferImages: 150,
-		Workers:     0,
 		Seed:        7,
 	}
 }

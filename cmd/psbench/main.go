@@ -35,7 +35,6 @@ import (
 	"parallelspikesim/internal/config"
 	"parallelspikesim/internal/dataset"
 	"parallelspikesim/internal/encode"
-	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/experiments"
 	"parallelspikesim/internal/fixed"
 	"parallelspikesim/internal/learn"
@@ -48,25 +47,6 @@ import (
 type expResult struct {
 	Name   string `json:"name"`
 	WallNs int64  `json:"wall_ns"`
-}
-
-// plasticityBench is the dense-vs-lazy presentation-throughput comparison
-// recorded when -plasticity=lazy: both modes present the same image sequence
-// to a 784×1000 network in alternating pairs of trials, and the per-pair
-// ratio of their wall times is summarized by its median and quartiles.
-type plasticityBench struct {
-	Inputs        int     `json:"inputs"`
-	Neurons       int     `json:"neurons"`
-	Presentations int     `json:"presentations"` // per trial
-	TLearnMS      float64 `json:"tlearn_ms"`
-	Pairs         int     `json:"pairs"`
-	DenseNs       int64   `json:"dense_ns"` // median trial
-	LazyNs        int64   `json:"lazy_ns"`  // median trial
-	DensePresSec  float64 `json:"dense_pres_per_sec"`
-	LazyPresSec   float64 `json:"lazy_pres_per_sec"`
-	Speedup       float64 `json:"speedup"`     // median per-pair dense_ns / lazy_ns
-	SpeedupP25    float64 `json:"speedup_p25"` // lower quartile of the per-pair ratios
-	SpeedupP75    float64 `json:"speedup_p75"` // upper quartile of the per-pair ratios
 }
 
 // swarBench is the scalar-vs-SWAR kernel comparison: the same
@@ -117,41 +97,33 @@ type swarBench struct {
 
 // benchDoc is the machine-readable benchmark summary.
 type benchDoc struct {
-	Schema         string           `json:"schema"`
-	Scale          string           `json:"scale"`
-	Neurons        int              `json:"neurons"`
-	TrainImages    int              `json:"train_images"`
-	Workers        int              `json:"workers"`
-	Plasticity     string           `json:"plasticity"`
-	Experiments    []expResult      `json:"experiments"`
-	BucketBoundsNs []int64          `json:"bucket_bounds_ns"`
-	ProbeMetrics   obs.Snapshot     `json:"probe_metrics"`
-	PlasticityCmp  *plasticityBench `json:"plasticity_probe,omitempty"`
-	SwarCmp        *swarBench       `json:"swar_probe,omitempty"`
+	Schema         string       `json:"schema"`
+	Scale          string       `json:"scale"`
+	Neurons        int          `json:"neurons"`
+	TrainImages    int          `json:"train_images"`
+	Workers        int          `json:"workers"`
+	Experiments    []expResult  `json:"experiments"`
+	BucketBoundsNs []int64      `json:"bucket_bounds_ns"`
+	ProbeMetrics   obs.Snapshot `json:"probe_metrics"`
+	SwarCmp        *swarBench   `json:"swar_probe,omitempty"`
 }
 
 func main() {
 	var (
-		scaleName  = flag.String("scale", "default", "test | default | paper")
-		expList    = flag.String("exp", "all", "comma-separated experiments: fig1a,fig1c,fig1d,fig4,fig5a,fig5b,fig6a,fig6b,fig7a,fig7b,fig8c,table2,anchor,ablate-noise,ablate-inh,ablate-window,ablate-theta,ablate-tau")
-		csvDir     = flag.String("csv", "", "directory to write CSV rows (optional)")
-		neurons    = flag.Int("neurons", 0, "override scale neurons")
-		train      = flag.Int("train", 0, "override scale training images")
-		workers    = flag.Int("workers", 0, "engine workers for the fig4 mirror and the -plasticity=lazy probes (0 = scale default); dense training runs inline")
-		quick      = flag.Bool("quick", false, "CI smoke mode: test scale, fast experiment subset, BENCH_test.json in the current directory")
-		benchDir   = flag.String("bench-json", "", "directory to write the BENCH_<scale>.json summary (\"\" = off; -quick defaults to .)")
-		metrics    = flag.String("metrics", "", "dump probe metrics to this file, or - for stdout (Prometheus text; *.json for JSON)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		plasticity = flag.String("plasticity", "dense", "STDP scheduling for the training probe: dense | lazy; lazy also runs the dense-vs-lazy throughput comparison at 784×1000")
-		format     = flag.String("format", "q1.7", "Qm.n format for the scalar-vs-SWAR kernel probe: q0.2 | q0.4 | q1.7 | q1.15 | float32 (float32 skips the probe)")
+		scaleName = flag.String("scale", "default", "test | default | paper")
+		expList   = flag.String("exp", "all", "comma-separated experiments: fig1a,fig1c,fig1d,fig4,fig5a,fig5b,fig6a,fig6b,fig7a,fig7b,fig8c,table2,anchor,ablate-noise,ablate-inh,ablate-window,ablate-theta,ablate-tau")
+		csvDir    = flag.String("csv", "", "directory to write CSV rows (optional)")
+		neurons   = flag.Int("neurons", 0, "override scale neurons")
+		train     = flag.Int("train", 0, "override scale training images")
+		workers   = flag.Int("workers", 0, "engine workers for the fig4 pooled mirror, the only run it sizes (0 = GOMAXPROCS); training runs inline")
+		quick     = flag.Bool("quick", false, "CI smoke mode: test scale, fast experiment subset, BENCH_test.json in the current directory")
+		benchDir  = flag.String("bench-json", "", "directory to write the BENCH_<scale>.json summary (\"\" = off; -quick defaults to .)")
+		metrics   = flag.String("metrics", "", "dump probe metrics to this file, or - for stdout (Prometheus text; *.json for JSON)")
+		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
+		format    = flag.String("format", "q1.7", "Qm.n format for the scalar-vs-SWAR kernel probe: q0.2 | q0.4 | q1.7 | q1.15 | float32 (float32 skips the probe)")
 	)
 	flag.Parse()
 
-	plastMode, err := network.ParsePlasticityMode(*plasticity)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "psbench:", err)
-		os.Exit(1)
-	}
 	probeFormat, err := fixed.ParseFormat(*format)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psbench:", err)
@@ -195,9 +167,6 @@ func main() {
 	}
 	if *train > 0 {
 		scale.TrainImages = *train
-	}
-	if *workers > 0 {
-		scale.Workers = *workers
 	}
 
 	want := map[string]bool{}
@@ -298,7 +267,7 @@ func main() {
 
 	run("fig4", func() (string, error) {
 		cfg := carlsim.DefaultConfig()
-		res, err := experiments.FigActivityComparison(cfg, 1000, scale.Workers)
+		res, err := experiments.FigActivityComparison(cfg, 1000, *workers)
 		if err != nil {
 			return "", err
 		}
@@ -510,8 +479,6 @@ func main() {
 
 	// Instrumented probe: a small observed training run whose per-phase
 	// histograms and counters anchor the benchmark summary and feed -metrics.
-	// It builds its network itself so that -plasticity selects its STDP
-	// schedule and -workers sizes the pool a lazy network flushes on.
 	reg := obs.NewRegistry()
 	probeNeurons := scale.Neurons
 	if probeNeurons > 32 {
@@ -522,26 +489,13 @@ func main() {
 		probeImages = 128
 	}
 	ds := dataset.SynthDigits(probeImages, 11)
-	probeWall, err := trainProbe(ds, probeNeurons, scale.Workers, plastMode, reg)
+	probeWall, err := trainProbe(ds, probeNeurons, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "psbench: probe:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("probe: trained %d images × %d neurons in %v (instrumented)\n",
 		probeImages, probeNeurons, probeWall.Round(time.Millisecond))
-
-	var plastCmp *plasticityBench
-	if plastMode == network.LazyPlasticity {
-		cmp, err := plasticityThroughput(scale.Workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "psbench: plasticity probe:", err)
-			os.Exit(1)
-		}
-		plastCmp = &cmp
-		fmt.Printf("plasticity %dx%d: dense %.1f pres/s, lazy %.1f pres/s — %.2fx (quartiles %.2f–%.2f over %d pairs)\n",
-			cmp.Inputs, cmp.Neurons, cmp.DensePresSec, cmp.LazyPresSec, cmp.Speedup,
-			cmp.SpeedupP25, cmp.SpeedupP75, cmp.Pairs)
-	}
 
 	var swarCmp *swarBench
 	if probeFormat.Packable() {
@@ -577,12 +531,10 @@ func main() {
 			Scale:          *scaleName,
 			Neurons:        scale.Neurons,
 			TrainImages:    scale.TrainImages,
-			Workers:        scale.Workers,
-			Plasticity:     plastMode.String(),
+			Workers:        *workers,
 			Experiments:    benchRows,
 			BucketBoundsNs: obs.BucketBoundsNs,
 			ProbeMetrics:   snap,
-			PlasticityCmp:  plastCmp,
 			SwarCmp:        swarCmp,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "psbench:", err)
@@ -599,26 +551,14 @@ func main() {
 }
 
 // trainProbe trains a float32 deterministic-STDP network of the given size
-// on ds, recording into reg, and returns the training wall time. workers
-// sizes the executor a lazy network flushes on (0 = GOMAXPROCS); a dense
-// network never calls it, but the pool's instruments are registered either
-// way, so the probe's metric set does not depend on the mode.
-func trainProbe(ds *dataset.Dataset, neurons, workers int, mode network.PlasticityMode, reg *obs.Registry) (time.Duration, error) {
+// on ds, recording into reg, and returns the training wall time.
+func trainProbe(ds *dataset.Dataset, neurons int, reg *obs.Registry) (time.Duration, error) {
 	m := config.Model{Rule: synapse.Deterministic.String(), Preset: string(synapse.PresetFloat), Seed: 11}
 	cfg, ctl, err := m.Resolve(ds.Pixels(), neurons)
 	if err != nil {
 		return 0, err
 	}
-	if workers == 0 {
-		workers = engine.Auto
-	}
-	exec := engine.New(workers)
-	defer exec.Close()
-	engine.Instrument(exec, reg)
-	net, err := network.New(cfg,
-		network.WithExecutor(exec),
-		network.WithObserver(reg),
-		network.WithPlasticity(mode))
+	net, err := network.New(cfg, network.WithObserver(reg))
 	if err != nil {
 		return 0, err
 	}
@@ -636,128 +576,6 @@ func trainProbe(ds *dataset.Dataset, neurons, workers int, mode network.Plastici
 	return time.Since(start), nil
 }
 
-// plasticityThroughput measures presentation throughput of the dense and
-// lazy STDP schedules on the paper's default geometry (784 inputs × 1000
-// neurons). Both modes present the identical image sequence with learning
-// enabled — the golden suite already proves they compute the same result,
-// so the only difference is wall time. Lateral inhibition is ablated
-// (TInhMS = 0, the existing no-WTA ablation) so every threshold crosser
-// fires and STDP becomes the dominant phase: with the default WTA there
-// are only a handful of post spikes per presentation and plasticity
-// scheduling is invisible in the total. The deterministic 8-bit operating
-// point makes plasticity memory-bound (every post spike moves every
-// synapse by a constant grid step), which is where the dense path's
-// column-strided walks hurt most and the lazy path's row-contiguous
-// replays help most.
-func plasticityThroughput(workers int) (plasticityBench, error) {
-	const (
-		inputs        = 784
-		neurons       = 1000
-		presentations = 8
-		warmup        = 1
-	)
-	syn, _, err := synapse.PresetConfig(synapse.Preset8Bit, synapse.Deterministic)
-	if err != nil {
-		return plasticityBench{}, err
-	}
-	syn.Seed = 7
-	cfg := network.DefaultConfig(inputs, neurons, syn)
-	cfg.TInhMS = 0 // ablate WTA: plasticity-dominated workload
-	ctl := encode.BaselineControl()
-	// A small image set cycled repeatedly keeps the network resonant with
-	// the patterns it is learning, sustaining a high post-spike rate across
-	// every timed presentation — the steady state the probe is after. A
-	// long distinct-image sequence would let homeostasis quiet the layer
-	// down and dilute plasticity with encode/integrate time.
-	ds := dataset.SynthDigits(4, 5)
-	if workers == 0 {
-		workers = engine.Auto
-	}
-
-	measure := func(mode network.PlasticityMode) (time.Duration, error) {
-		exec := engine.New(workers)
-		defer exec.Close()
-		net, err := network.New(cfg, network.WithExecutor(exec), network.WithPlasticity(mode))
-		if err != nil {
-			return 0, err
-		}
-		for i := 0; i < warmup; i++ {
-			if _, err := net.Present(ds.Images[i%ds.Len()], ctl, true, nil); err != nil {
-				return 0, err
-			}
-		}
-		start := time.Now()
-		for i := warmup; i < warmup+presentations; i++ {
-			if _, err := net.Present(ds.Images[i%ds.Len()], ctl, true, nil); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-
-	// Alternating pairs of trials: a slow machine phase lands on both
-	// trials of a pair, so the per-pair ratio cancels most of it, and the
-	// mode that goes first alternates so neither always runs on a warm
-	// cache. Each trial rebuilds its network, so both modes always start
-	// from the same initial weights. Best-of-three trials spread 0.84–1.60×
-	// run to run on a 2-vCPU VM; the median over pairs with its quartiles
-	// says how far a single reading can be trusted.
-	const pairs = 11
-	dense := make([]float64, pairs)
-	lazy := make([]float64, pairs)
-	ratios := make([]float64, pairs)
-	for i := 0; i < pairs; i++ {
-		order := []network.PlasticityMode{network.DensePlasticity, network.LazyPlasticity}
-		if i%2 == 1 {
-			order[0], order[1] = order[1], order[0]
-		}
-		for _, mode := range order {
-			d, err := measure(mode)
-			if err != nil {
-				return plasticityBench{}, err
-			}
-			if mode == network.DensePlasticity {
-				dense[i] = float64(d)
-			} else {
-				lazy[i] = float64(d)
-			}
-		}
-		ratios[i] = dense[i] / lazy[i]
-	}
-	denseWall, lazyWall := quantile(dense, 0.5), quantile(lazy, 0.5)
-	persec := func(ns float64) float64 {
-		return float64(presentations) / (ns / 1e9)
-	}
-	return plasticityBench{
-		Inputs:        inputs,
-		Neurons:       neurons,
-		Presentations: presentations,
-		TLearnMS:      ctl.TLearnMS,
-		Pairs:         pairs,
-		DenseNs:       int64(denseWall),
-		LazyNs:        int64(lazyWall),
-		DensePresSec:  persec(denseWall),
-		LazyPresSec:   persec(lazyWall),
-		Speedup:       quantile(ratios, 0.5),
-		SpeedupP25:    quantile(ratios, 0.25),
-		SpeedupP75:    quantile(ratios, 0.75),
-	}, nil
-}
-
-// quantile returns the q-quantile of xs (0 ≤ q ≤ 1), interpolating
-// linearly between order statistics. xs must be non-empty; it is not
-// modified.
-func quantile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
-}
-
 // swarProbe times the same integrate+plasticity sweep twice over a
 // 784×1024 synapse matrix: a scalar pass through the per-synapse
 // fixed.Format helpers (one AddSat/SubSat call and one float accumulate per
@@ -765,8 +583,7 @@ func quantile(xs []float64, q float64) float64 {
 // the fixed.Packing word kernels (one AccumulateRange/AddSatMasked/
 // SubSatMasked call per row). Each rep is one full-matrix presentation:
 // integrate every row into the current vector, potentiate every synapse one
-// step, depress it back one step. The select mask is built once, mirroring
-// how the lazy queue amortises mask construction across a row's events.
+// step, depress it back one step. The select mask is built once.
 // Both passes must end in the bit-identical weight state and current
 // vector — the kernels' contract — so a divergence fails the probe rather
 // than reporting a bogus speedup. Best of three interleaved trials per

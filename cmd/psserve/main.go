@@ -145,7 +145,7 @@ func newBuilder(m config.Model, classes int, exec engine.Executor, reg *obs.Regi
 
 // newLearner builds, from the same model flags the serving engines use, a
 // continual trainer seeded with the default model's snapshot. The trainer
-// gets a private network (lazy plasticity, sequential executor) so online
+// gets a private network that trains on its own goroutine, so online
 // presentations never contend with batch fan-out, and its checkpoints —
 // base replay anchor and candidates — live in o.learnDir.
 func newLearner(o options, models *registry.Registry, reg *obs.Registry) (*continual.Trainer, error) {

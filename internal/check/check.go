@@ -102,31 +102,3 @@ func CounterAdvance(ctx string, prev, next int) {
 		Failf("%s: counter did not advance (%d -> %d)", ctx, prev, next)
 	}
 }
-
-// QueueCursor asserts a lazy-plasticity row cursor stays inside the event
-// log: 0 ≤ cursor ≤ events. A cursor beyond the log means a row was
-// "flushed into the future"; a negative one means the queue was reset while
-// a flush was in flight.
-func QueueCursor(ctx string, cursor, events int) {
-	if cursor < 0 || cursor > events {
-		Failf("%s: cursor %d outside event log of length %d", ctx, cursor, events)
-	}
-}
-
-// QueueEventOrder asserts deferred plasticity events are recorded in
-// nondecreasing step order — the replay order that makes the lazy path
-// bit-identical to the dense one.
-func QueueEventOrder(ctx string, prev, next uint64) {
-	if next < prev {
-		Failf("%s: event step went backwards (%d -> %d)", ctx, prev, next)
-	}
-}
-
-// QueueDrained asserts a lazy-plasticity queue holds no unapplied events —
-// required at every presentation boundary, where checkpoints, statistics
-// and visualization read the conductance matrix directly.
-func QueueDrained(ctx string, pending int) {
-	if pending != 0 {
-		Failf("%s: %d deferred plasticity updates left unapplied", ctx, pending)
-	}
-}

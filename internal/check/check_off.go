@@ -33,12 +33,3 @@ func WeightUpdate(ctx string, oldG, newG float64, f fixed.Format, lo, hi float64
 
 // CounterAdvance is a no-op without the simcheck build tag.
 func CounterAdvance(ctx string, prev, next int) {}
-
-// QueueCursor is a no-op without the simcheck build tag.
-func QueueCursor(ctx string, cursor, events int) {}
-
-// QueueEventOrder is a no-op without the simcheck build tag.
-func QueueEventOrder(ctx string, prev, next uint64) {}
-
-// QueueDrained is a no-op without the simcheck build tag.
-func QueueDrained(ctx string, pending int) {}

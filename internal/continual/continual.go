@@ -2,12 +2,12 @@
 // learns from live labeled traffic beside the serving path and hot-publishes
 // checkpoints the serving path can trust.
 //
-// One goroutine owns a private network copy (lazy plasticity by default) and
-// drains a bounded ingest queue fed by POST /models/{name}/learn. Every K
-// trained examples it emits a crash-safe PSS2 candidate checkpoint to an
-// immutable per-candidate path, reads it back from disk (so what is judged
-// is the exact bytes an operator could replay), shadow-evaluates old and
-// new engines on a mirrored sample of recent traffic, and promotes through
+// One goroutine owns a private network copy and drains a bounded ingest
+// queue fed by POST /models/{name}/learn. Every K trained examples it emits
+// a crash-safe PSS2 candidate checkpoint to an immutable per-candidate
+// path, reads it back from disk (so what is judged is the exact bytes an
+// operator could replay), shadow-evaluates old and new engines on a
+// mirrored sample of recent traffic, and promotes through
 // registry.PublishCAS — an RCU swap that drops zero requests, fenced on the
 // generation the shadow eval ran against — only when the accuracy delta
 // clears a configurable gate. Gated and failed candidates are deleted, so
@@ -25,7 +25,7 @@
 // checkpoint (written at Start and at every rebase) plus the in-order
 // example log — each example stamped with the encode band in force when it
 // was trained — replays to bit-identical published weights (Replay; the
-// golden-audit test pins this across dense/lazy/pooled executors).
+// golden-audit test pins this).
 package continual
 
 import (
@@ -135,9 +135,8 @@ func (c Config) validate() error {
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	fs      fault.FS
-	reg     *obs.Registry
-	netOpts []network.Option
+	fs  fault.FS
+	reg *obs.Registry
 }
 
 // WithFS routes all checkpoint I/O through fsys — the seam the chaos tests
@@ -152,14 +151,6 @@ func WithFS(fsys fault.FS) Option {
 // keeps the path metric-free.
 func WithObserver(reg *obs.Registry) Option {
 	return func(o *buildOptions) { o.reg = reg }
-}
-
-// WithNetworkOptions overrides the private network's build options. The
-// default is lazy plasticity on the sequential executor — the cheap online
-// schedule; overriding the executor or plasticity mode never changes the
-// trained weights (the golden-audit test pins bit-identity across them).
-func WithNetworkOptions(opts ...network.Option) Option {
-	return func(o *buildOptions) { o.netOpts = opts }
 }
 
 // Trainer is the train-while-serve loop for one named model. All training
@@ -233,10 +224,7 @@ func New(cfg Config, netCfg network.Config, lopts learn.Options, base *netio.Sna
 			opt(&bo)
 		}
 	}
-	if bo.netOpts == nil {
-		bo.netOpts = []network.Option{network.WithPlasticity(network.LazyPlasticity)}
-	}
-	net, err := network.New(netCfg, bo.netOpts...)
+	net, err := network.New(netCfg)
 	if err != nil {
 		return nil, fmt.Errorf("continual: building network: %w", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/continual"
 	"parallelspikesim/internal/encode"
-	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/fault"
 	"parallelspikesim/internal/infer"
 	"parallelspikesim/internal/learn"
@@ -206,8 +205,7 @@ func TestLifecyclePromoteAndReplay(t *testing.T) {
 	}
 
 	// Determinism wall: replay the audit record offline — base checkpoint
-	// plus in-order example log — and demand bit-identical published bytes,
-	// under every execution strategy.
+	// plus in-order example log — and demand bit-identical published bytes.
 	base, err := netio.LoadFileFS(h.inj, h.tr.BasePath())
 	if err != nil {
 		t.Fatalf("loading base: %v", err)
@@ -221,31 +219,18 @@ func TestLifecyclePromoteAndReplay(t *testing.T) {
 			t.Fatalf("example %d stamped band %+v, tune band %+v", i, ex.Band, tune.Band())
 		}
 	}
-	pool := engine.New(4)
-	defer pool.Close()
-	variants := []struct {
-		name string
-		opts []network.Option
-	}{
-		{"lazy-sequential", nil},
-		{"dense-sequential", []network.Option{network.WithPlasticity(network.DensePlasticity)}},
-		{"lazy-pooled", []network.Option{network.WithPlasticity(network.LazyPlasticity), network.WithExecutor(pool)}},
-		{"dense-pooled", []network.Option{network.WithPlasticity(network.DensePlasticity), network.WithExecutor(pool)}},
+	replayed, err := continual.Replay(base, h.netCfg, testLearnOptions(), log)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
 	}
-	for _, v := range variants {
-		replayed, err := continual.Replay(base, h.netCfg, testLearnOptions(), log, v.opts...)
-		if err != nil {
-			t.Fatalf("%s replay: %v", v.name, err)
-		}
-		if got := replayed.PayloadCRC(); got != audits[1].PayloadCRC {
-			t.Errorf("%s replay payload CRC %#x, published %#x", v.name, got, audits[1].PayloadCRC)
-		}
-		if !reflect.DeepEqual(replayed.G, published.G) {
-			t.Errorf("%s replay conductances differ from published bytes", v.name)
-		}
-		if !reflect.DeepEqual(replayed.Assignments, published.Assignments) {
-			t.Errorf("%s replay assignments differ from published bytes", v.name)
-		}
+	if got := replayed.PayloadCRC(); got != audits[1].PayloadCRC {
+		t.Errorf("replay payload CRC %#x, published %#x", got, audits[1].PayloadCRC)
+	}
+	if !reflect.DeepEqual(replayed.G, published.G) {
+		t.Errorf("replay conductances differ from published bytes")
+	}
+	if !reflect.DeepEqual(replayed.Assignments, published.Assignments) {
+		t.Errorf("replay assignments differ from published bytes")
 	}
 }
 

@@ -15,21 +15,20 @@ import (
 // recorded encode band. Because every stochastic draw in the simulator is a
 // pure function of (seed, step counter), restoring the clock restores the
 // random sequence itself, so the returned snapshot is bit-identical to the
-// candidate the live trainer emitted after the same examples — regardless
-// of executor width or plasticity mode (the golden-audit test pins this
-// across dense/lazy/pooled).
+// candidate the live trainer emitted after the same examples (the
+// golden-audit test pins this).
 //
 // To verify a promoted audit: load the base whose BaseSeq matches, replay
 // log[:aud.Examples], and compare PayloadCRC (or raw G/Assignments) against
 // the published snapshot.
-func Replay(base *netio.Snapshot, netCfg network.Config, lopts learn.Options, log []Example, opts ...network.Option) (*netio.Snapshot, error) {
+func Replay(base *netio.Snapshot, netCfg network.Config, lopts learn.Options, log []Example) (*netio.Snapshot, error) {
 	if base == nil {
 		return nil, fmt.Errorf("continual: replay needs a base checkpoint")
 	}
 	if base.Trainer == nil {
 		return nil, fmt.Errorf("continual: base checkpoint has no trainer section — not a replay anchor")
 	}
-	net, err := network.New(netCfg, opts...)
+	net, err := network.New(netCfg)
 	if err != nil {
 		return nil, fmt.Errorf("continual: replay network: %w", err)
 	}

@@ -2,19 +2,21 @@
 // paper's CUDA GPU: a data-parallel range executor backed by a persistent
 // goroutine worker pool.
 //
-// The executor carries the simulator's per-presentation and per-image
-// fan-out, where each chunk holds milliseconds of work: the lazy
-// end-of-presentation row flush, infer.PredictBatch and shadow evaluation. (The Fig 4 CARLsim-style
-// mirror still splits each of its steps, so its pooled row measures that
-// dispatch cost.) These are "for each element in [0, n)" kernels over
-// disjoint state, the shape the paper launches as GPU thread grids;
-// Executor.For partitions such a range into one contiguous chunk per
-// worker. A network.Present step is not dispatched: at the paper's
-// 784×1000 operating point it is a few µs of work, less than a pool
-// handoff costs, so it runs inline. Because every stochastic decision in
-// the simulator is counter-based (see internal/rng), the parallel executor
-// is bit-identical to the sequential one; TestParallelMatchesSequential in
-// the network package pins that property.
+// The executor carries the simulator's per-image fan-out, where each chunk
+// holds milliseconds of work: infer.PredictBatch and the continual
+// trainer's shadow evaluation. (The Fig 4 CARLsim-style mirror still
+// splits each of its steps, so its pooled row measures that dispatch
+// cost.) These are "for each element in [0, n)" kernels over disjoint
+// state, the shape the paper launches as GPU thread grids; Executor.For
+// partitions such a range into one contiguous chunk per worker. Training
+// is not dispatched: at the paper's 784×1000 operating point a
+// network.Present step, plasticity included, is a few µs of work, less
+// than a pool handoff costs, so it runs inline. Because every stochastic
+// decision in the simulator is counter-based (see internal/rng), the
+// parallel executor is bit-identical to the sequential one;
+// TestPooledInferMatchesGolden in internal/golden and
+// TestMirrorSequentialMatchesParallel in internal/carlsim pin that
+// property.
 package engine
 
 import (

@@ -29,22 +29,17 @@ type Scale struct {
 	TrainImages int
 	LabelImages int
 	InferImages int
-	// Workers sizes the worker pool of the Fig 4 activity mirror (and
-	// psbench's lazy-plasticity probes): 0 = GOMAXPROCS, 1 = sequential.
-	// Training runs every step inline (DESIGN.md §16.4), so it sizes no
-	// training run.
-	Workers int
-	Seed    uint64
+	Seed        uint64
 }
 
 // TestScale is the smoke-test size: seconds, shapes not guaranteed.
 func TestScale() Scale {
-	return Scale{Neurons: 20, TrainImages: 60, LabelImages: 30, InferImages: 30, Workers: 1, Seed: 7}
+	return Scale{Neurons: 20, TrainImages: 60, LabelImages: 30, InferImages: 30, Seed: 7}
 }
 
 // DefaultScale is the benchmark size: minutes, qualitative shapes hold.
 func DefaultScale() Scale {
-	return Scale{Neurons: 80, TrainImages: 2400, LabelImages: 300, InferImages: 400, Workers: 0, Seed: 7}
+	return Scale{Neurons: 80, TrainImages: 2400, LabelImages: 300, InferImages: 400, Seed: 7}
 }
 
 // PaperScale is the paper's full workload. Extrapolated from 300-image
@@ -52,7 +47,7 @@ func DefaultScale() Scale {
 // about 2 minutes at the 5–78 Hz / 100 ms Q1.7 operating point and about
 // 14 minutes for the 1–22 Hz / 500 ms float32 baseline, boosts included.
 func PaperScale() Scale {
-	return Scale{Neurons: 1000, TrainImages: 60000, LabelImages: 1000, InferImages: 9000, Workers: 0, Seed: 7}
+	return Scale{Neurons: 1000, TrainImages: 60000, LabelImages: 1000, InferImages: 9000, Seed: 7}
 }
 
 // Validate checks the scale.

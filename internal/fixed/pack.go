@@ -234,13 +234,6 @@ func (p *Packing) NewSelect(n int) []Word {
 	return make([]Word, p.WordsFor(n))
 }
 
-// ClearSelect zeroes a select mask in place.
-func (p *Packing) ClearSelect(sel []Word) {
-	for i := range sel {
-		sel[i] = 0
-	}
-}
-
 // SetLane marks lane i in a select mask.
 func (p *Packing) SetLane(sel []Word, i int) {
 	sel[i/p.lanes] |= p.laneMask << (uint(i%p.lanes) * p.width)

@@ -2,10 +2,9 @@ package golden
 
 // Golden-audit regression: a checkpoint promoted by the continual trainer
 // must be reproducible offline, bit for bit, from its audit record — the
-// base checkpoint plus the in-order example log — under every execution
-// strategy (dense/lazy plasticity × sequential/pooled executors). This is
-// the same bit-identity contract the lazy/batched golden digests pin, lifted
-// to the train-while-serve promotion path.
+// base checkpoint plus the in-order example log. This is the same
+// bit-identity contract the golden digests pin, lifted to the
+// train-while-serve promotion path.
 
 import (
 	"errors"
@@ -15,12 +14,10 @@ import (
 
 	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/continual"
-	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/fault"
 	"parallelspikesim/internal/infer"
 	"parallelspikesim/internal/learn"
 	"parallelspikesim/internal/netio"
-	"parallelspikesim/internal/network"
 	"parallelspikesim/internal/registry"
 )
 
@@ -49,8 +46,6 @@ func auditCases(t *testing.T) []Case {
 
 func TestGoldenAuditReplay(t *testing.T) {
 	check.NoLeaks(t)
-	pool := engine.New(4)
-	defer pool.Close()
 
 	for _, c := range auditCases(t) {
 		c := c
@@ -125,32 +120,21 @@ func TestGoldenAuditReplay(t *testing.T) {
 			}
 			log := tr.ExampleLog()
 
-			variants := []struct {
-				name string
-				opts []network.Option
-			}{
-				{"lazy-sequential", nil},
-				{"dense-sequential", []network.Option{network.WithPlasticity(network.DensePlasticity)}},
-				{"lazy-pooled", []network.Option{network.WithPlasticity(network.LazyPlasticity), network.WithExecutor(pool)}},
-				{"dense-pooled", []network.Option{network.WithPlasticity(network.DensePlasticity), network.WithExecutor(pool)}},
+			replayed, err := continual.Replay(base, cfg, lopts, log)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
 			}
-			for _, v := range variants {
-				replayed, err := continual.Replay(base, cfg, lopts, log, v.opts...)
-				if err != nil {
-					t.Fatalf("%s replay: %v", v.name, err)
-				}
-				if got := replayed.PayloadCRC(); got != aud.PayloadCRC {
-					t.Errorf("%s: replay CRC %#x, published %#x", v.name, got, aud.PayloadCRC)
-				}
-				if !reflect.DeepEqual(replayed.G, published.G) {
-					t.Errorf("%s: replayed conductances differ from published bytes", v.name)
-				}
-				if !reflect.DeepEqual(replayed.Theta, published.Theta) {
-					t.Errorf("%s: replayed thresholds differ from published bytes", v.name)
-				}
-				if !reflect.DeepEqual(replayed.Assignments, published.Assignments) {
-					t.Errorf("%s: replayed assignments differ from published bytes", v.name)
-				}
+			if got := replayed.PayloadCRC(); got != aud.PayloadCRC {
+				t.Errorf("replay CRC %#x, published %#x", got, aud.PayloadCRC)
+			}
+			if !reflect.DeepEqual(replayed.G, published.G) {
+				t.Errorf("replayed conductances differ from published bytes")
+			}
+			if !reflect.DeepEqual(replayed.Theta, published.Theta) {
+				t.Errorf("replayed thresholds differ from published bytes")
+			}
+			if !reflect.DeepEqual(replayed.Assignments, published.Assignments) {
+				t.Errorf("replayed assignments differ from published bytes")
 			}
 		})
 	}

@@ -8,9 +8,10 @@
 // The suite serves two purposes. First, it is a regression tripwire: any
 // change that perturbs a single spike, RNG draw or weight update in any
 // (rule × format × rounding) combination flips a digest. Second, it is the
-// bit-identity proof for alternative execution strategies: the lazy
-// plasticity engine and the batched trainer must reproduce the digests the
-// dense sequential reference recorded (see DESIGN.md §11).
+// bit-identity proof for the other paths through the same simulation:
+// frozen-weight inference, pooled or not, and the continual trainer's
+// offline audit replay must reproduce what the training run recorded (see
+// DESIGN.md §11).
 package golden
 
 import (
@@ -167,9 +168,8 @@ func InferAssignments(n int) []int {
 	return out
 }
 
-// Run replays a case under the given network options (execution strategy)
-// and digests the trace. The dense sequential reference is Run(c) with no
-// options.
+// Run replays a case under the given network options and digests the
+// trace. The reference is Run(c) with no options.
 func Run(c Case, opts ...network.Option) (*Result, error) {
 	cfg, ctl, err := CaseConfig(c)
 	if err != nil {

@@ -116,37 +116,6 @@ func TestDenseMatchesGolden(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesGolden(t *testing.T) {
-	// The lazy engine must reproduce the *dense-recorded* digests — the
-	// bit-identity acceptance criterion of the event-driven refactor —
-	// including the full final weight matrix, compared value by value
-	// against a fresh dense replay (CRCs alone could in principle collide).
-	for _, c := range Cases() {
-		c := c
-		t.Run(c.Name, func(t *testing.T) {
-			lazy, err := Run(c, network.WithPlasticity(network.LazyPlasticity))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertTrace(t, lazy.Trace, committed(t, c))
-			dense, err := Run(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range dense.Weights {
-				if dense.Weights[i] != lazy.Weights[i] {
-					t.Fatalf("weight %d: dense %v, lazy %v", i, dense.Weights[i], lazy.Weights[i])
-				}
-			}
-			for i := range dense.Theta {
-				if dense.Theta[i] != lazy.Theta[i] {
-					t.Fatalf("theta %d: dense %v, lazy %v", i, dense.Theta[i], lazy.Theta[i])
-				}
-			}
-		})
-	}
-}
-
 func TestPooledInferMatchesGolden(t *testing.T) {
 	// Frozen-weight inference fanned out over a worker pool reproduces the
 	// sequentially recorded inference digests: scratch-state reuse across
@@ -174,10 +143,14 @@ func TestPooledInferMatchesGolden(t *testing.T) {
 	}
 }
 
-func TestPooledLazyMatchesGolden(t *testing.T) {
-	// Worker-pool execution on top of the lazy engine still reproduces the
-	// sequential dense digests. One representative cell per rule keeps the
-	// suite fast; the full cross-product runs sequentially above.
+func TestDeprecatedNetworkOptionsAreInert(t *testing.T) {
+	// perfbench still builds its networks with the lazy schedule's and the
+	// executor's option names, and its serve-learn check compares their
+	// replay against psserve's trainer. Both options must change no bit:
+	// the committed digests replay, and the full final weights and
+	// thresholds match a plain run value by value (CRCs alone could in
+	// principle collide). One cell per rule; TestDenseMatchesGolden
+	// replays the full grid.
 	pool := engine.New(4)
 	defer pool.Close()
 	for _, c := range Cases() {
@@ -186,13 +159,27 @@ func TestPooledLazyMatchesGolden(t *testing.T) {
 		}
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			res, err := Run(c,
-				network.WithExecutor(pool),
-				network.WithPlasticity(network.LazyPlasticity))
+			got, err := Run(c,
+				network.WithPlasticity(network.LazyPlasticity),
+				network.WithExecutor(pool))
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertTrace(t, res.Trace, committed(t, c))
+			assertTrace(t, got.Trace, committed(t, c))
+			plain, err := Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range plain.Weights {
+				if plain.Weights[i] != got.Weights[i] {
+					t.Fatalf("weight %d: plain %v, with options %v", i, plain.Weights[i], got.Weights[i])
+				}
+			}
+			for i := range plain.Theta {
+				if plain.Theta[i] != got.Theta[i] {
+					t.Fatalf("theta %d: plain %v, with options %v", i, plain.Theta[i], got.Theta[i])
+				}
+			}
 		})
 	}
 }

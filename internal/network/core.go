@@ -316,8 +316,8 @@ func selectWinner(pop *neuron.Population, candidates []int) int {
 }
 
 // trainHook is what a training presentation adds to the bare core loop:
-// spike recording, diagnostics, the lazy row flush, pre-spike times, STDP
-// and the network's step counter and absolute clock.
+// spike recording, diagnostics, pre-spike times, STDP and the network's
+// step counter and absolute clock.
 type trainHook struct {
 	n     *Network
 	rec   *Recorder
@@ -332,19 +332,6 @@ func (h *trainHook) inputs(in []int, now float64) {
 			h.rec.InputSpikes = append(h.rec.InputSpikes, SpikeEvent{TimeMS: now, Index: px})
 		}
 	}
-	// Lazy mode: the rows the integrate is about to read must first be
-	// brought up to date. Flushing before lastPre moves is what keeps the
-	// deferred replay bit-identical to the dense schedule: every pending
-	// event recorded since a row's last flush observed exactly the lastPre
-	// value the row still holds. Only the handful of rows spiking this step
-	// are touched, so the flush runs inline.
-	if n.lazy != nil && h.learn && len(in) > 0 && n.lazy.Events() > 0 {
-		tp := n.obsPlast.Start()
-		for _, pre := range in {
-			n.lazy.FlushRow(pre, n.lastPre[pre])
-		}
-		n.obsPlast.Stop(tp)
-	}
 	// Neither integrate kernel reads lastPre; only post-spike learning does.
 	for _, pre := range in {
 		n.lastPre[pre] = now
@@ -358,19 +345,11 @@ func (h *trainHook) inputs(in []int, now float64) {
 func (h *trainHook) fired(post []int, now float64) {
 	n := h.n
 	if h.learn {
-		if n.lazy != nil {
-			// Defer the column update; rows replay it when their pre
-			// neuron next spikes or at presentation end.
-			for _, p := range post {
-				n.lazy.Record(p, now, n.step)
-			}
-		} else {
-			tp := n.obsPlast.Start()
-			for _, p := range post {
-				n.Plast.OnPostSpikeRange(p, now, n.lastPre, n.step, 0, n.Cfg.NumInputs)
-			}
-			n.obsPlast.Stop(tp)
+		tp := n.obsPlast.Start()
+		for _, p := range post {
+			n.Plast.OnPostSpikeRange(p, now, n.lastPre, n.step, 0, n.Cfg.NumInputs)
 		}
+		n.obsPlast.Stop(tp)
 		n.obsSynUpd.Add(uint64(len(post) * n.Cfg.NumInputs))
 	}
 	n.TotalExcSpikes += uint64(len(post))

@@ -13,72 +13,28 @@
 // accumulate the input spikes into it per eq. 3, step the LIF layer per
 // eqs. 1–2), then winner-take-all among the threshold crossers. Training
 // (Present) hooks into that loop, in an order that keeps STDP
-// causality clean: in lazy mode the spiking rows are brought up to date
-// with the deferred post-spike updates before integrate reads them, then
-// the pre-spike times move, and each post spike applies the learning
-// rule to its synapse column — deterministic eqs. 4–5, or stochastic eq. 6
-// potentiation and eq. 7 depression (StochParams.PDepEvent) — at once in
-// dense mode or deferred to each row's next spike in lazy mode.
+// causality clean: the pre-spike times move before integrate, and each
+// post spike applies the learning rule to its whole synapse column at once
+// — deterministic eqs. 4–5, or stochastic eq. 6 potentiation and eq. 7
+// depression (StochParams.PDepEvent) — as the paper does on a post spike.
 // Frozen-weight inference (internal/infer) encodes and steps through the
 // same core with no hook, so the two cannot drift apart.
 //
-// Every step runs on the presenting goroutine: at the paper's operating
-// point a step is a few µs of work, less than a worker-pool handoff costs
-// (DESIGN.md §16.4). The engine.Executor carries only the lazy
-// end-of-presentation row flush, and with counter-based RNG a pooled
-// executor is bit-identical to sequential execution.
+// Every step, plasticity included, runs on the presenting goroutine: at
+// the paper's operating point a step is a few µs of work, less than a
+// worker-pool handoff costs (DESIGN.md §16.4), and dense plasticity beats
+// a deferred schedule there (DESIGN.md §11).
 package network
 
 import (
 	"fmt"
 
 	"parallelspikesim/internal/encode"
-	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/neuron"
 	"parallelspikesim/internal/obs"
 	"parallelspikesim/internal/rng"
 	"parallelspikesim/internal/synapse"
 )
-
-// PlasticityMode selects how STDP updates are scheduled. Both modes are
-// bit-identical for identical seeds (the golden suite in internal/golden
-// pins this); they differ only in execution strategy.
-type PlasticityMode int
-
-const (
-	// DensePlasticity applies every post-spike column update eagerly, the
-	// moment the neuron fires — the reference schedule.
-	DensePlasticity PlasticityMode = iota
-	// LazyPlasticity defers post-spike updates into a shared event log and
-	// replays them row-contiguously when a row's pre neuron next spikes (or
-	// at presentation end), converting the dense path's 8 KB-strided column
-	// walks into cache-resident row flushes.
-	LazyPlasticity
-)
-
-// String names the mode as the psbench -plasticity flag spells it.
-func (m PlasticityMode) String() string {
-	switch m {
-	case DensePlasticity:
-		return "dense"
-	case LazyPlasticity:
-		return "lazy"
-	default:
-		return fmt.Sprintf("PlasticityMode(%d)", int(m))
-	}
-}
-
-// ParsePlasticityMode converts a user-facing mode name.
-func ParsePlasticityMode(s string) (PlasticityMode, error) {
-	switch s {
-	case "dense", "eager":
-		return DensePlasticity, nil
-	case "lazy", "event", "event-driven":
-		return LazyPlasticity, nil
-	default:
-		return 0, fmt.Errorf("network: unknown plasticity mode %q", s)
-	}
-}
 
 // Config describes a full network instance.
 type Config struct {
@@ -145,8 +101,7 @@ func (c Config) Validate() error {
 }
 
 // Network is a live simulation instance. It is not safe for concurrent use
-// by multiple goroutines; steps run on the caller's goroutine and only the
-// per-presentation lazy flush fans out over the executor.
+// by multiple goroutines; every step runs on the caller's goroutine.
 type Network struct {
 	Cfg Config
 
@@ -154,10 +109,8 @@ type Network struct {
 	Syn   *synapse.Matrix
 	Plast *synapse.Plasticity
 
-	exec engine.Executor
-	rec  *Recorder      // default recorder (WithRecorder); Present's arg overrides
-	reg  *obs.Registry  // observability registry; nil = disabled
-	lazy *synapse.Queue // deferred-update queue; nil in dense mode
+	rec *Recorder     // default recorder (WithRecorder); Present's arg overrides
+	reg *obs.Registry // observability registry; nil = disabled
 
 	// Phase timers and event counters; all nil (no-op) without an observer.
 	obsPlast   *obs.Timer
@@ -179,36 +132,18 @@ type Network struct {
 }
 
 // Option customizes a Network at construction time, so new capabilities
-// (executors, recorders, observability) compose without widening Config.
+// (recorders, observability) compose without widening Config.
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	exec  engine.Executor
-	rec   *Recorder
-	reg   *obs.Registry
-	plast PlasticityMode
-}
-
-// WithExecutor installs exec for the one per-presentation fan-out left:
-// the lazy-plasticity row flush at the end of each learning presentation.
-// Encoding and simulation steps always run inline on the presenting
-// goroutine. The caller retains ownership (and Close responsibility) of the
-// executor. The default is sequential execution.
-func WithExecutor(exec engine.Executor) Option {
-	return func(o *buildOptions) { o.exec = exec }
+	rec *Recorder
+	reg *obs.Registry
 }
 
 // WithRecorder installs a default spike recorder used whenever Present is
 // called with a nil recorder argument.
 func WithRecorder(rec *Recorder) Option {
 	return func(o *buildOptions) { o.rec = rec }
-}
-
-// WithPlasticity selects the STDP scheduling strategy. The default is
-// DensePlasticity; LazyPlasticity produces bit-identical results faster on
-// plasticity-heavy workloads (see DESIGN.md §11).
-func WithPlasticity(mode PlasticityMode) Option {
-	return func(o *buildOptions) { o.plast = mode }
 }
 
 // WithObserver attaches an observability registry: Present records
@@ -222,10 +157,10 @@ func WithObserver(reg *obs.Registry) Option {
 // New constructs a network with randomly initialized conductances.
 // Behaviour is customized with functional options:
 //
-//	net, err := network.New(cfg, network.WithExecutor(pool), network.WithObserver(reg))
+//	net, err := network.New(cfg, network.WithRecorder(rec), network.WithObserver(reg))
 //
-// With no options the network runs sequentially, unrecorded and
-// unobserved. Nil options are ignored.
+// With no options the network runs unrecorded and unobserved. Nil options
+// are ignored.
 func New(cfg Config, opts ...Option) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -235,10 +170,6 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		if opt != nil {
 			opt(&bo)
 		}
-	}
-	exec := bo.exec
-	if exec == nil {
-		exec = engine.New(1)
 	}
 	exc, err := neuron.NewPopulation(cfg.NumNeurons, cfg.LIF)
 	if err != nil {
@@ -258,7 +189,6 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		Exc:     exc,
 		Syn:     mat,
 		Plast:   plast,
-		exec:    exec,
 		rec:     bo.rec,
 		reg:     bo.reg,
 		core:    NewCore(cfg, exc, mat),
@@ -271,13 +201,6 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 		obsInhEv:   bo.reg.Counter("network_inh_events_total"),
 		obsSynUpd:  bo.reg.Counter("network_syn_updates_total"),
 	}
-	if bo.plast == LazyPlasticity {
-		q, err := synapse.NewQueue(plast, cfg.NumInputs)
-		if err != nil {
-			return nil, err
-		}
-		n.lazy = q
-	}
 	// The core's phase timers: the per-presentation plan build and wait
 	// on the presenting goroutine, then the per-step plan lookup, integrate
 	// and WTA; and the count of chunks its helper built ahead.
@@ -287,14 +210,6 @@ func New(cfg Config, opts ...Option) (*Network, error) {
 	n.core.obsIntegrate = bo.reg.Timer("network_phase_integrate_ns")
 	n.core.obsInhibit = bo.reg.Timer("network_phase_inhibit_ns")
 	return n, nil
-}
-
-// Plasticity returns the scheduling mode the network was built with.
-func (n *Network) Plasticity() PlasticityMode {
-	if n.lazy != nil {
-		return LazyPlasticity
-	}
-	return DensePlasticity
 }
 
 // Observer returns the registry installed with WithObserver (nil when the
@@ -393,22 +308,6 @@ func (n *Network) Present(img []uint8, ctl encode.Control, learn bool, rec *Reco
 	res.InputSpikes = n.core.run(&trainHook{n: n, rec: rec, learn: learn})
 	n.TotalInputSpikes += uint64(res.InputSpikes)
 	n.obsInputSp.Add(uint64(res.InputSpikes))
-
-	// Lazy mode: the presentation boundary is a read point — checkpoints,
-	// statistics and receptive-field plots all inspect the matrix between
-	// images — so drain every row. Rows are independent and the drain is
-	// milliseconds of work, so this is the one place a presentation fans out
-	// over the executor.
-	if n.lazy != nil && learn && n.lazy.Events() > 0 {
-		tp := n.obsPlast.Start()
-		n.exec.For(n.Cfg.NumInputs, func(chunk, lo, hi int) {
-			n.lazy.FlushRowsRange(lo, hi, n.lastPre)
-		})
-		n.obsPlast.Stop(tp)
-	}
-	if n.lazy != nil {
-		n.lazy.Reset()
-	}
 
 	for i, c := range n.Exc.SpikeCounts() {
 		counts[i] += int(c)

@@ -6,14 +6,17 @@ import (
 
 	"parallelspikesim/internal/dataset"
 	"parallelspikesim/internal/encode"
-	"parallelspikesim/internal/engine"
-	"parallelspikesim/internal/fixed"
 	"parallelspikesim/internal/synapse"
 )
 
 func testConfig(t *testing.T, kind synapse.RuleKind, neurons int) Config {
 	t.Helper()
-	syn, _, err := synapse.PresetConfig(synapse.PresetFloat, kind)
+	return presetConfig(t, synapse.PresetFloat, kind, neurons)
+}
+
+func presetConfig(t *testing.T, preset synapse.Preset, kind synapse.RuleKind, neurons int) Config {
+	t.Helper()
+	syn, _, err := synapse.PresetConfig(preset, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,117 +241,87 @@ func TestRecorderCapturesSpikes(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	// The central reproducibility claim: the worker-pool engine produces
-	// bit-identical results to sequential execution, for both rules. Dense
-	// presentations never dispatch; lazy ones split the end flush.
+// TestPresentationsAreReproducible is the central reproducibility claim:
+// two networks built from one config and shown the same images agree bit
+// for bit, for both rules. Every stochastic draw is keyed by counters, so
+// nothing about a run may depend on anything but its inputs.
+func TestPresentationsAreReproducible(t *testing.T) {
 	data := dataset.SynthDigits(6, 3)
 	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 150}
 	for _, kind := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
-		for _, mode := range []PlasticityMode{DensePlasticity, LazyPlasticity} {
-			// odd count: uneven partitions
-			checkParallelMatchesSequential(t, kind.String()+"/"+mode.String(), testConfig(t, kind, 23), 4, ctl, data, WithPlasticity(mode))
-		}
+		checkReproducible(t, kind.String(), testConfig(t, kind, 23), ctl, data)
 	}
 }
 
-// TestParallelMatchesSequentialPacked is TestParallelMatchesSequential at
-// the paper's layer width on every packed format, in both plasticity modes.
-// Steps run inline, so the pool only splits the lazy end-of-presentation
-// flush: 784 rows of 1000 packed lanes over 3 workers. Kernel-level
-// coverage of integrate windows that start or end inside a packed word is
-// TestAccumulateRowsMatchesPerRow in internal/fixed.
-func TestParallelMatchesSequentialPacked(t *testing.T) {
+// TestPresentationsAreReproduciblePacked is TestPresentationsAreReproducible
+// at the paper's layer width on every packed format: 784 rows of 1000
+// packed lanes. Kernel-level coverage of integrate windows that start or
+// end inside a packed word is TestAccumulateRowsMatchesPerRow in
+// internal/fixed.
+func TestPresentationsAreReproduciblePacked(t *testing.T) {
 	data := dataset.SynthDigits(3, 5)
 	ctl := encode.Control{Band: encode.HighFrequencyBand(), TLearnMS: 100}
 	for _, preset := range []synapse.Preset{synapse.Preset2Bit, synapse.Preset4Bit, synapse.Preset8Bit, synapse.Preset16Bit} {
-		syn, _, err := synapse.PresetConfig(preset, synapse.Stochastic)
-		if err != nil {
-			t.Fatal(err)
-		}
-		syn.Seed = 42
-		cfg := DefaultConfig(28*28, 1000, syn)
-		for _, mode := range []PlasticityMode{DensePlasticity, LazyPlasticity} {
-			checkParallelMatchesSequential(t, string(preset)+"/"+mode.String(), cfg, 3, ctl, data, WithPlasticity(mode))
-		}
+		checkReproducible(t, string(preset), presetConfig(t, preset, synapse.Stochastic, 1000), ctl, data)
 	}
 }
 
-// checkParallelMatchesSequential trains one network sequentially and one
-// on a pool of the given width over the same images and fails unless spike
-// counts, weights and membranes match exactly. It also compares the
-// synaptic current after every presentation: under winner-take-all most
-// membranes end a presentation clamped at reset, which would hide an
-// integrate kernel that dropped a few lanes' input. opts apply to both
-// networks.
-func checkParallelMatchesSequential(t *testing.T, name string, cfg Config, workers int, ctl encode.Control, data *dataset.Dataset, opts ...Option) {
+// checkReproducible trains two fresh networks built from cfg over the same
+// images and fails unless spike counts, synaptic currents, weights and
+// membranes match exactly after every presentation, and the update
+// counters at the end. The currents are compared because under
+// winner-take-all most membranes end a presentation clamped at reset,
+// which would hide an integrate kernel that read a few stray lanes.
+func checkReproducible(t *testing.T, name string, cfg Config, ctl encode.Control, data *dataset.Dataset) {
 	t.Helper()
-	seqNet, err := New(cfg, opts...)
+	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := engine.New(workers)
-	defer pool.Close()
-	parNet, err := New(cfg, append(opts, WithExecutor(pool))...)
+	b, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < data.Len(); i++ {
-		rs, err1 := seqNet.Present(data.Images[i], ctl, true, nil)
-		rp, err2 := parNet.Present(data.Images[i], ctl, true, nil)
+		ra, err1 := a.Present(data.Images[i], ctl, true, nil)
+		rb, err2 := b.Present(data.Images[i], ctl, true, nil)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		for n := range rs.SpikeCounts {
-			if rs.SpikeCounts[n] != rp.SpikeCounts[n] {
+		for n := range ra.SpikeCounts {
+			if ra.SpikeCounts[n] != rb.SpikeCounts[n] {
 				t.Fatalf("%s: image %d neuron %d spikes differ: %d vs %d",
-					name, i, n, rs.SpikeCounts[n], rp.SpikeCounts[n])
+					name, i, n, ra.SpikeCounts[n], rb.SpikeCounts[n])
 			}
 		}
-		if rs.InputSpikes != rp.InputSpikes {
+		if ra.InputSpikes != rb.InputSpikes {
 			t.Fatalf("%s: image %d input spikes differ", name, i)
 		}
-		for n := range seqNet.core.current {
-			if math.Float64bits(seqNet.core.current[n]) != math.Float64bits(parNet.core.current[n]) {
+		for n := range a.core.current {
+			if math.Float64bits(a.core.current[n]) != math.Float64bits(b.core.current[n]) {
 				t.Fatalf("%s: image %d current %d diverged: %v vs %v",
-					name, i, n, seqNet.core.current[n], parNet.core.current[n])
+					name, i, n, a.core.current[n], b.core.current[n])
+			}
+		}
+		wa, wb := a.Syn.Weights(), b.Syn.Weights()
+		for n := range wa {
+			if wa[n] != wb[n] {
+				t.Fatalf("%s: image %d conductance %d diverged: %v vs %v", name, i, n, wa[n], wb[n])
+			}
+		}
+		for n := range a.Exc.V {
+			if math.Float64bits(a.Exc.V[n]) != math.Float64bits(b.Exc.V[n]) {
+				t.Fatalf("%s: image %d membrane %d diverged: %v vs %v", name, i, n, a.Exc.V[n], b.Exc.V[n])
 			}
 		}
 	}
-	if seqNet.TotalExcSpikes == 0 {
-		t.Fatalf("%s: no neuron fired; the wall would compare silent layers", name)
+	if a.TotalExcSpikes == 0 {
+		t.Fatalf("%s: no neuron fired; the check would compare silent layers", name)
 	}
-	ws, wp := seqNet.Syn.Weights(), parNet.Syn.Weights()
-	for i := range ws {
-		if ws[i] != wp[i] {
-			t.Fatalf("%s: conductance %d diverged: %v vs %v", name, i, ws[i], wp[i])
-		}
-	}
-	for i := range seqNet.Exc.V {
-		if math.Float64bits(seqNet.Exc.V[i]) != math.Float64bits(parNet.Exc.V[i]) {
-			t.Fatalf("%s: membrane %d diverged: %v vs %v", name, i, seqNet.Exc.V[i], parNet.Exc.V[i])
-		}
-	}
-}
-
-func TestPresentationsAreReproducible(t *testing.T) {
-	cfg := testConfig(t, synapse.Stochastic, 10)
-	run := func() []fixed.Weight {
-		net, _ := New(cfg, nil)
-		ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 200}
-		img := testImage()
-		for i := 0; i < 3; i++ {
-			if _, err := net.Present(img, ctl, true, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return net.Syn.Weights()
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("identical runs diverged at synapse %d", i)
-		}
+	pa, da := a.Plast.Counters()
+	pb, db := b.Plast.Counters()
+	if pa != pb || da != db {
+		t.Fatalf("%s: update counters diverged: pot %d vs %d, dep %d vs %d", name, pa, pb, da, db)
 	}
 }
 
@@ -437,22 +410,6 @@ func BenchmarkPresentSequential100(b *testing.B) {
 	syn, _, _ := synapse.PresetConfig(synapse.PresetFloat, synapse.Stochastic)
 	cfg := DefaultConfig(784, 100, syn)
 	net, _ := New(cfg)
-	img := testImage()
-	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := net.Present(img, ctl, true, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPresentParallel100(b *testing.B) {
-	syn, _, _ := synapse.PresetConfig(synapse.PresetFloat, synapse.Stochastic)
-	cfg := DefaultConfig(784, 100, syn)
-	pool := engine.New(engine.Auto)
-	defer pool.Close()
-	net, _ := New(cfg, WithExecutor(pool))
 	img := testImage()
 	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 100}
 	b.ResetTimer()

@@ -2,8 +2,8 @@ package synapse
 
 // AllocsPerRun gates for the //psslint:noalloc annotations in this package.
 // Together with the compiler-escape check in scripts/check-allocs.sh they
-// pin the hot paths — current accumulation, STDP application and the lazy
-// flush — at zero heap allocations per call.
+// pin the hot paths — current accumulation and STDP application — at zero
+// heap allocations per call.
 
 import (
 	"testing"
@@ -97,55 +97,6 @@ func TestNoAllocOnPostSpike(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("%s %s %v: OnPostSpikeRange allocates %.1f per run, want 0", c.preset, c.format, c.kind, avg)
-		}
-	}
-}
-
-func TestNoAllocFlushRow(t *testing.T) {
-	skipIfInstrumented(t)
-	if raceEnabled {
-		// The race runtime randomly discards sync.Pool items, so the packed
-		// flush's pooled scratch re-allocates no matter how warm it is.
-		t.Skip("race build: sync.Pool drops items by design")
-	}
-	for _, kind := range []RuleKind{Deterministic, Stochastic} {
-		cfg, _, err := PresetConfig(Preset8Bit, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Seed = 77
-		m, err := NewMatrix(6, 4, cfg.Format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.InitUniform(rng.NewStream(1), 0.2, 0.8)
-		p, err := NewPlasticity(cfg, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := NewQueue(p, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lastPre := []float64{Never, 38, 12, 39.5, 5, Never}
-		// Warm the event log's backing array so the Records inside the
-		// measured run never grow it (Reset keeps capacity).
-		for i := 0; i < 32; i++ {
-			q.Record(i%4, 30+float64(i), uint64(i))
-		}
-		q.Reset()
-		avg := testing.AllocsPerRun(20, func() {
-			for i := 0; i < 8; i++ {
-				q.Record(i%4, 30+float64(i), uint64(i))
-			}
-			for pre := 0; pre < 6; pre++ {
-				q.FlushRow(pre, lastPre[pre])
-			}
-			q.FlushRowsRange(0, 6, lastPre) // drained: exercises the empty walk
-			q.Reset()
-		})
-		if avg != 0 {
-			t.Errorf("%v: FlushRow cycle allocates %.1f per run, want 0", kind, avg)
 		}
 	}
 }

@@ -178,15 +178,6 @@ func (p *Plasticity) applyDep(pre, post int, step uint64) {
 	}
 }
 
-// outcome is the result of one synapse's stochastic rolls.
-type outcome uint8
-
-const (
-	noUpdate outcome = iota
-	potUpdate
-	depUpdate
-)
-
 // rollKeys folds the event step into the (Seed, tag) roll keys, giving the
 // hash states shared by every synapse a post spike at step rolls.
 func (p *Plasticity) rollKeys(step uint64) (hPot, hDep uint64) {
@@ -245,39 +236,12 @@ func (p *Plasticity) rollThr(age float64) (rollThr, bool) {
 	return p.thr[k], true
 }
 
-// stochRoll is the stochastic rule's decision for synapse (pre, post) whose
-// pre last fired age ms before the post spike: LTP with probability
-// P_pot(age) (eq. 6); failing that, LTD with probability
-// P_dep = PDepEvent(age, W) (eq. 7). hPot/hDep are rollKeys of the event's
-// step. It is rollRange's decision for one synapse, used where synapses
-// come one at a time: the lazy Queue.FlushRow.
-//
-// It returns exactly what rng.Bernoulli(P, Seed, tag, step, pre, post)
-// returns against the closed-form P (see drawThreshold). The draw is the
-// same Hash64: Hash64 is HashInit, one HashMix per counter and HashFin, so
-// finishing the folded (Seed, tag, step) state with pre and post yields
-// the same word. The finish is spelled out at both rolls: as a helper it
-// exceeds the inlining budget, and the call per roll shows in the
-// post-spike benchmarks. LTP is drawn only where its threshold is above 0.
-//
-//psslint:noalloc
-func (p *Plasticity) stochRoll(age float64, hPot, hDep uint64, pre, post int) outcome {
-	t, ok := p.rollThr(age)
-	if !ok {
-		t = p.thrAt(age)
-	}
-	if t.pot > 0 && rng.HashFin(rng.HashMix(rng.HashMix(hPot, uint64(pre)), uint64(post)))>>11 < t.pot {
-		return potUpdate
-	}
-	if rng.HashFin(rng.HashMix(rng.HashMix(hDep, uint64(pre)), uint64(post)))>>11 < t.dep {
-		return depUpdate
-	}
-	return noUpdate
-}
-
 // rollDrawsGo fills pot[i] and dep[i] with the 53-bit draws of synapse
 // (lo+i, post) under the roll keys hPot and hDep:
-// HashFin(HashMix(HashMix(h, pre), post)) >> 11, stochRoll's draws. It is
+// HashFin(HashMix(HashMix(h, pre), post)) >> 11. That is the draw
+// rng.Bernoulli(P, Seed, tag, step, pre, post) takes: Hash64 is HashInit,
+// one HashMix per counter and HashFin, so finishing the folded
+// (Seed, tag, step) state with pre and post yields the same word. It is
 // the oracle of the AVX-512 kernel and the fallback where that kernel
 // does not run. dep must be at least as long as pot.
 //
@@ -297,8 +261,10 @@ func rollDrawsGo(hPot, hDep uint64, post, lo int, pot, dep []uint64) {
 // (rollDraws), then decides each synapse with two integer compares against
 // the thresholds at its age, building a pot and a dep mask in which a
 // synapse that potentiates does not depress; then it applies the set bits
-// only. Each decision is stochRoll's: stochRoll skips draws its outcome
-// does not depend on, which changes no outcome, since every draw is a pure
+// only. Each decision is what rng.Bernoulli returns against the
+// closed-form P_pot(age) (eq. 6) and, failing that, P_dep =
+// PDepEvent(age, W) (eq. 7) (see drawThreshold); taking the LTD draw of a
+// synapse that potentiates changes no outcome, since every draw is a pure
 // function of its counters. The draws live on the stack, so callers on
 // disjoint posts share nothing.
 //

@@ -854,3 +854,36 @@ func BenchmarkAccumulateSpikesRange(b *testing.B) {
 		})
 	}
 }
+
+func TestApplyHelpersSkipCounters(t *testing.T) {
+	// applyPot/applyDep are the counter-free kernels OnPostSpikeRange counts
+	// around: applied by hand they move the weights exactly as a counted
+	// OnPostSpikeRange does, and leave the counters alone.
+	cfg, _, _ := PresetConfig(PresetFloat, Deterministic)
+	mk := func() *Plasticity {
+		m, _ := NewMatrix(2, 2, cfg.Format)
+		m.InitUniform(rng.NewStream(1), 0.3, 0.6)
+		p, err := NewPlasticity(cfg, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	byHand, counted := mk(), mk()
+	byHand.applyPot(0, 1, 2)
+	byHand.applyDep(1, 1, 2)
+	// Pre 0 fired inside the LTP window, pre 1 never: one LTP, one LTD.
+	counted.OnPostSpikeRange(1, 100, []float64{99, Never}, 2, 0, 2)
+	hw, cw := byHand.M.Weights(), counted.M.Weights()
+	for i := range hw {
+		if hw[i] != cw[i] {
+			t.Fatalf("synapse %d: by hand %v, OnPostSpikeRange %v", i, hw[i], cw[i])
+		}
+	}
+	if pot, dep := byHand.Counters(); pot != 0 || dep != 0 {
+		t.Fatalf("apply helpers counted: pot %d dep %d", pot, dep)
+	}
+	if pot, dep := counted.Counters(); pot != 1 || dep != 1 {
+		t.Fatalf("OnPostSpikeRange counted pot %d dep %d, want 1/1", pot, dep)
+	}
+}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # check-coverage.sh is a per-package coverage ratchet for the packages the
-# golden-trace and lazy-plasticity suites are responsible for. Each floor is
+# golden-trace and bit-identity suites are responsible for. Each floor is
 # set a few points below the coverage measured when the suite landed, so the
 # check never flakes on compiler or scheduler noise but fails loudly when a
 # change sheds tests. Raise a floor when the measured number rises; never
