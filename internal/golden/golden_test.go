@@ -116,6 +116,38 @@ func TestDenseMatchesGolden(t *testing.T) {
 	}
 }
 
+func TestLazyMatchesGolden(t *testing.T) {
+	// The lazy schedule is gone, but perfbench's train and learn workloads
+	// still build their networks with WithPlasticity(LazyPlasticity). On
+	// every cell that option must reproduce the committed digests and the
+	// full final weights and thresholds of a plain run, value by value
+	// (CRCs alone could in principle collide).
+	for _, c := range Cases() {
+		c := c
+		t.Run(c.Name, func(t *testing.T) {
+			lazy, err := Run(c, network.WithPlasticity(network.LazyPlasticity))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertTrace(t, lazy.Trace, committed(t, c))
+			dense, err := Run(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range dense.Weights {
+				if dense.Weights[i] != lazy.Weights[i] {
+					t.Fatalf("weight %d: dense %v, lazy %v", i, dense.Weights[i], lazy.Weights[i])
+				}
+			}
+			for i := range dense.Theta {
+				if dense.Theta[i] != lazy.Theta[i] {
+					t.Fatalf("theta %d: dense %v, lazy %v", i, dense.Theta[i], lazy.Theta[i])
+				}
+			}
+		})
+	}
+}
+
 func TestPooledInferMatchesGolden(t *testing.T) {
 	// Frozen-weight inference fanned out over a worker pool reproduces the
 	// sequentially recorded inference digests: scratch-state reuse across
@@ -149,8 +181,8 @@ func TestDeprecatedNetworkOptionsAreInert(t *testing.T) {
 	// replay against psserve's trainer. Both options must change no bit:
 	// the committed digests replay, and the full final weights and
 	// thresholds match a plain run value by value (CRCs alone could in
-	// principle collide). One cell per rule; TestDenseMatchesGolden
-	// replays the full grid.
+	// principle collide). One cell per rule; TestLazyMatchesGolden replays
+	// the full grid with the schedule option alone.
 	pool := engine.New(4)
 	defer pool.Close()
 	for _, c := range Cases() {

@@ -6,6 +6,7 @@ import (
 
 	"parallelspikesim/internal/dataset"
 	"parallelspikesim/internal/encode"
+	"parallelspikesim/internal/engine"
 	"parallelspikesim/internal/synapse"
 )
 
@@ -253,6 +254,21 @@ func TestPresentationsAreReproducible(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: steps no longer run on a pool, but
+// perfbench still hands its networks one through WithExecutor. A network
+// given a pool must match one built without it, bit for bit, for both
+// rules.
+func TestParallelMatchesSequential(t *testing.T) {
+	data := dataset.SynthDigits(6, 3)
+	ctl := encode.Control{Band: encode.BaselineBand(), TLearnMS: 150}
+	pool := engine.New(4)
+	defer pool.Close()
+	for _, kind := range []synapse.RuleKind{synapse.Deterministic, synapse.Stochastic} {
+		// odd count: uneven partitions, were the pool ever used again
+		checkReproducible(t, kind.String(), testConfig(t, kind, 23), ctl, data, WithExecutor(pool))
+	}
+}
+
 // TestPresentationsAreReproduciblePacked is TestPresentationsAreReproducible
 // at the paper's layer width on every packed format: 784 rows of 1000
 // packed lanes. Kernel-level coverage of integrate windows that start or
@@ -271,14 +287,15 @@ func TestPresentationsAreReproduciblePacked(t *testing.T) {
 // membranes match exactly after every presentation, and the update
 // counters at the end. The currents are compared because under
 // winner-take-all most membranes end a presentation clamped at reset,
-// which would hide an integrate kernel that read a few stray lanes.
-func checkReproducible(t *testing.T, name string, cfg Config, ctl encode.Control, data *dataset.Dataset) {
+// which would hide an integrate kernel that read a few stray lanes. opts
+// apply to the second network only.
+func checkReproducible(t *testing.T, name string, cfg Config, ctl encode.Control, data *dataset.Dataset, opts ...Option) {
 	t.Helper()
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(cfg)
+	b, err := New(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
