@@ -49,13 +49,9 @@ type expResult struct {
 	WallNs int64  `json:"wall_ns"`
 }
 
-// swarBench is the scalar-vs-SWAR kernel comparison: the same
-// integrate+potentiate+depress sweep over one synapse matrix, once through
-// the per-synapse fixed.Format helpers and once through the word-parallel
-// fixed.Packing kernels the sealed synapse.Matrix uses (DESIGN.md §14).
-// Both sides must finish in the same weight state and the same currents;
-// the speedup is pure lane parallelism. The multi_* fields time the
-// step-shaped integrate on their own: a train-fast-like step's current
+// swarBench is the packed-store integrate probe, recorded as swar_probe in
+// BENCH_<scale>.json. Format is the Qm.n format of its codes. The multi_*
+// fields time the step-shaped integrate: a train-fast-like step's current
 // decay and spiking rows, a decay pass and then one row at a time
 // (AccumulateRange per row), against the fused, register-blocked
 // AccumulateRows, which must produce the same currents. IntegrateKernel
@@ -69,15 +65,7 @@ type expResult struct {
 // elsewhere. RollKernel names the kernel the stochastic STDP draws ran
 // on: "avx512" or "go" (fixed.AVX512).
 type swarBench struct {
-	Format        string  `json:"format"`
-	Lanes         int     `json:"lanes"`
-	Synapses      int     `json:"synapses"`
-	Reps          int     `json:"reps"`
-	ScalarNs      int64   `json:"scalar_ns"`
-	SwarNs        int64   `json:"swar_ns"`
-	ScalarMSynSec float64 `json:"scalar_msyn_per_sec"`
-	SwarMSynSec   float64 `json:"swar_msyn_per_sec"`
-	Speedup       float64 `json:"speedup"` // scalar_ns / swar_ns
+	Format string `json:"format"`
 
 	MultiRowsPerStep int     `json:"multi_rows_per_step"`
 	MultiLanes       int     `json:"multi_lanes"`
@@ -120,7 +108,7 @@ func main() {
 		benchDir  = flag.String("bench-json", "", "directory to write the BENCH_<scale>.json summary (\"\" = off; -quick defaults to .)")
 		metrics   = flag.String("metrics", "", "dump probe metrics to this file, or - for stdout (Prometheus text; *.json for JSON)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		format    = flag.String("format", "q1.7", "Qm.n format for the scalar-vs-SWAR kernel probe: q0.2 | q0.4 | q1.7 | q1.15 | float32 (float32 skips the probe)")
+		format    = flag.String("format", "q1.7", "Qm.n format of the multi-row integrate probe's packed codes: q0.2 | q0.4 | q1.7 | q1.15 | float32 (float32 skips the probe)")
 	)
 	flag.Parse()
 
@@ -505,8 +493,6 @@ func main() {
 			os.Exit(1)
 		}
 		swarCmp = &sw
-		fmt.Printf("swar %s (%d lanes/word): scalar %.1f Msyn/s, packed %.1f Msyn/s — %.2fx\n",
-			sw.Format, sw.Lanes, sw.ScalarMSynSec, sw.SwarMSynSec, sw.Speedup)
 		fmt.Printf("swar %s multi-row (%d rows × %d lanes per step): per-row %.2f µs/step, blocked %.2f µs/step — %.2fx\n",
 			sw.Format, sw.MultiRowsPerStep, sw.MultiLanes,
 			float64(sw.MultiPerRowNs)/1e3/float64(sw.MultiSteps), float64(sw.MultiBlockedNs)/1e3/float64(sw.MultiSteps),
@@ -576,134 +562,30 @@ func trainProbe(ds *dataset.Dataset, neurons int, reg *obs.Registry) (time.Durat
 	return time.Since(start), nil
 }
 
-// swarProbe times the same integrate+plasticity sweep twice over a
-// 784×1024 synapse matrix: a scalar pass through the per-synapse
-// fixed.Format helpers (one AddSat/SubSat call and one float accumulate per
-// synapse — the code path before the packed store), and a SWAR pass through
-// the fixed.Packing word kernels (one AccumulateRange/AddSatMasked/
-// SubSatMasked call per row). Each rep is one full-matrix presentation:
-// integrate every row into the current vector, potentiate every synapse one
-// step, depress it back one step. The select mask is built once.
-// Both passes must end in the bit-identical weight state and current
-// vector — the kernels' contract — so a divergence fails the probe rather
-// than reporting a bogus speedup. Best of three interleaved trials per
-// side. multiRowProbe then times the step-shaped integrate on the same
-// codes.
+// swarProbe runs multiRowProbe over a 784×1024 matrix of format f's codes,
+// swept over the whole code range so both rails appear, and records its
+// times.
 func swarProbe(f fixed.Format) (swarBench, error) {
 	const (
 		nPre  = 784
 		nPost = 1024 // multiple of every lane count, so rows stay word-aligned
-		reps  = 4
 		amp   = 0.6
 	)
 	pk, err := f.Packing()
 	if err != nil {
 		return swarBench{}, err
 	}
-	nSyn := nPre * nPost
 	maxCode := f.ToCode(f.Max())
-	codes := make([]uint32, nSyn)
+	codes := make([]uint32, nPre*nPost)
 	for i := range codes {
-		codes[i] = uint32(i) % (maxCode + 1) // sweep the whole code range incl. both saturation rails
-	}
-	wpr := pk.WordsFor(nPost)
-
-	scalarPass := func() (time.Duration, []float64, []float64) {
-		g := make([]fixed.Weight, nSyn)
-		for i, c := range codes {
-			g[i] = fixed.Weight(f.FromCode(c))
-		}
-		cur := make([]float64, nPost)
-		step, ceil := f.Step(), f.Max()
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			for pre := 0; pre < nPre; pre++ {
-				row := g[pre*nPost : (pre+1)*nPost]
-				for i, w := range row {
-					cur[i] += float64(w) * amp
-				}
-				for i := range row {
-					row[i] = f.AddSat(row[i], step, ceil, fixed.Nearest, 0)
-				}
-				for i := range row {
-					row[i] = f.SubSat(row[i], step, 0, fixed.Nearest, 0)
-				}
-			}
-		}
-		wall := time.Since(start)
-		out := make([]float64, nSyn)
-		for i, w := range g {
-			out[i] = float64(w)
-		}
-		return wall, out, cur
-	}
-
-	swarPass := func() (time.Duration, []float64, []float64) {
-		words := pk.Pack(codes)
-		cur := make([]float64, nPost)
-		sel := pk.NewSelect(nPost)
-		for i := 0; i < nPost; i++ {
-			pk.SetLane(sel, i)
-		}
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			for pre := 0; pre < nPre; pre++ {
-				row := words[pre*wpr : (pre+1)*wpr]
-				pk.AccumulateRange(row, amp, cur, 0, nPost)
-				pk.AddSatMasked(row, sel, maxCode)
-				pk.SubSatMasked(row, sel, 0)
-			}
-		}
-		wall := time.Since(start)
-		out := make([]float64, 0, nSyn)
-		for _, c := range pk.Unpack(words, nSyn, nil) {
-			out = append(out, f.FromCode(c))
-		}
-		return wall, out, cur
-	}
-
-	const trials = 3
-	var scalarWall, swarWall time.Duration
-	var scalarG, swarG, scalarCur, swarCur []float64
-	for trial := 0; trial < trials; trial++ {
-		sd, sg, sc := scalarPass()
-		wd, wg, wc := swarPass()
-		if trial == 0 {
-			scalarG, swarG = sg, wg
-			scalarCur, swarCur = sc, wc
-			scalarWall, swarWall = sd, wd
-			continue
-		}
-		if sd < scalarWall {
-			scalarWall = sd
-		}
-		if wd < swarWall {
-			swarWall = wd
-		}
-	}
-	if err := sameBits("scalar and packed weights (synapse)", scalarG, swarG); err != nil {
-		return swarBench{}, err
-	}
-	if err := sameBits("scalar and packed integrate (current)", scalarCur, swarCur); err != nil {
-		return swarBench{}, err
+		codes[i] = uint32(i) % (maxCode + 1)
 	}
 	mt, err := multiRowProbe(pk, codes, nPre, nPost, amp)
 	if err != nil {
 		return swarBench{}, err
 	}
-	msyn := func(d time.Duration) float64 {
-		return float64(nSyn) * reps / d.Seconds() / 1e6
-	}
 	return swarBench{
-		Format:        f.String(),
-		Lanes:         pk.Lanes(),
-		Synapses:      nSyn,
-		Reps:          reps,
-		ScalarNs:      scalarWall.Nanoseconds(),
-		SwarNs:        swarWall.Nanoseconds(),
-		ScalarMSynSec: msyn(scalarWall),
-		SwarMSynSec:   msyn(swarWall),
-		Speedup:       float64(scalarWall) / float64(swarWall),
+		Format: f.String(),
 
 		MultiRowsPerStep: multiRowsPerStep,
 		MultiLanes:       multiLanes,

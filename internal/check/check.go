@@ -51,15 +51,6 @@ func Finite(ctx string, v float64) {
 	}
 }
 
-// FiniteSlice asserts every element of vs is finite.
-func FiniteSlice(ctx string, vs []float64) {
-	for i, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			Failf("%s: non-finite value %v at index %d", ctx, v, i)
-		}
-	}
-}
-
 // InRange asserts lo ≤ v ≤ hi.
 func InRange(ctx string, v, lo, hi float64) {
 	if !(v >= lo && v <= hi) { // negated form also catches NaN

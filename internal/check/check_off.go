@@ -19,9 +19,6 @@ func Assert(cond bool, format string, args ...any) {}
 // Finite is a no-op without the simcheck build tag.
 func Finite(ctx string, v float64) {}
 
-// FiniteSlice is a no-op without the simcheck build tag.
-func FiniteSlice(ctx string, vs []float64) {}
-
 // InRange is a no-op without the simcheck build tag.
 func InRange(ctx string, v, lo, hi float64) {}
 

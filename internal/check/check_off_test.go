@@ -19,7 +19,6 @@ func TestDisabledIsInert(t *testing.T) {
 	Failf("would panic under simcheck")
 	Assert(false, "would panic under simcheck")
 	Finite("x", math.NaN())
-	FiniteSlice("x", []float64{math.Inf(1)})
 	InRange("x", 5, 0, 1)
 	Conductance("x", 0.123, fixed.Q0p2, 0, 1)
 	WeightUpdate("x", 0, 1, fixed.Q0p2, 0, 1)

@@ -41,11 +41,6 @@ func TestFinite(t *testing.T) {
 	mustPanic(t, func() { Finite("bad", math.Inf(-1)) })
 }
 
-func TestFiniteSlice(t *testing.T) {
-	FiniteSlice("ok", []float64{0, 1, 2})
-	mustPanic(t, func() { FiniteSlice("bad", []float64{0, math.NaN(), 2}) })
-}
-
 func TestAssert(t *testing.T) {
 	Assert(true, "unused")
 	mustPanic(t, func() { Assert(false, "boom %d", 7) })

@@ -109,7 +109,7 @@ func NewFormat(intBits, fracBits int) (Format, error) {
 // the unquantized path. It is the single entry point behind every format
 // flag (pssim/psbench): beyond NewFormat's bit-count validation it
 // requires the code width to divide 64, so every accepted fixed-point
-// format packs exactly into the 64-bit SWAR words of the packed store.
+// format packs exactly into the 64-bit words of the packed store.
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(s) {
 	case "float32", "float", "fp32":
@@ -298,11 +298,6 @@ func (f Format) SubSat(g Weight, dg, floor float64, mode Rounding, roll float64)
 		x = floor
 	}
 	return f.QuantizeWeight(x, mode, roll)
-}
-
-// QuantizeCode is Quantize returning the raw code instead of the value.
-func (f Format) QuantizeCode(x float64, mode Rounding, roll float64) uint32 {
-	return f.ToCode(f.Quantize(x, mode, roll) + f.Step()/4)
 }
 
 // OnGrid reports whether x is exactly representable in the format (within

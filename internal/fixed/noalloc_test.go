@@ -1,7 +1,7 @@
 package fixed
 
 // AllocsPerRun gates for the //psslint:noalloc annotations on the packed
-// SWAR kernels. The compiler-escape half of the ratchet lives in
+// word kernels. The compiler-escape half of the ratchet lives in
 // scripts/check-allocs.sh; this half pins the runtime behaviour.
 
 import "testing"
@@ -19,16 +19,10 @@ func TestNoAllocPackedKernels(t *testing.T) {
 			codes[i] = mid
 		}
 		words := pk.Pack(codes)
-		sel := pk.NewSelect(n)
-		pk.SetLane(sel, 3)
-		pk.SetLane(sel, 7)
-		pk.SetLane(sel, n-1)
 		ceil := pk.CodeOf(Weight(f.Max()))
 		floor := pk.CodeOf(0)
 		cur := make([]float64, n)
 		avg := testing.AllocsPerRun(100, func() {
-			pk.AddSatMasked(words, sel, ceil)
-			pk.SubSatMasked(words, sel, floor)
 			pk.IncSat(words, 2, ceil)
 			pk.DecSat(words, 5, floor)
 			pk.AccumulateRange(words, 0.5, cur, 0, n)

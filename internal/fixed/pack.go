@@ -1,13 +1,11 @@
-// Packed code storage and SWAR word kernels.
+// Packed code storage and its word kernels.
 //
 // A Qm.n conductance is an integer code of Bits() bits; when that width
 // divides 64, codes pack lanes-per-word into uint64s (32×Q0.2, 16×Q0.4,
-// 8×Q1.7, 4×Q1.15) and the hot loops — eq. 3 current integration and the
-// flat-step LTP/LTD saturating updates of §III-C — run word-parallel
-// ("SWAR": SIMD within a register). Cross-lane carries are fenced with the
-// classic MSB-masking technique: the lane MSBs are masked out of both
-// operands so the low-bit add/sub can only carry *into* the MSB position,
-// never across a lane boundary, and the true MSBs are recombined by XOR.
+// 8×Q1.7, 4×Q1.15). Eq. 3 current integration reads whole words
+// (AccumulateRange, AccumulateRows). The flat-step LTP/LTD updates of
+// §III-C touch one lane at a time (IncSat, DecSat): a post neuron's column
+// takes one lane from each row, so no word holds two synapses of one update.
 //
 // All packed-word manipulation lives in this package. The Word defined type
 // marks the boundary: psslint's fixedrange analyzer rejects direct indexing
@@ -31,31 +29,30 @@ type Word uint64
 
 // Packable reports whether the format's codes can pack exactly into 64-bit
 // words: a fixed-point format at least 2 bits wide whose width divides 64.
-// (1-bit formats divide 64 too, but a 1-bit lane has no MSB/low-bit split
-// for the carry-fence kernels; they take the unpacked fallback path.)
+// (1-bit formats divide 64 too, but no preset or format flag names one —
+// ParseFormat accepts only packable formats — and no packed kernel is
+// tested at that width, so a hand-built 1-bit Format keeps the unpacked
+// store.)
 func (f Format) Packable() bool {
 	b := f.Bits()
 	return !f.Float && b >= 2 && 64%b == 0
 }
 
-// Packing holds the precomputed lane geometry and SWAR constants of a
-// packable format, plus the dequantization LUT for narrow lanes. Obtain one
-// with Format.Packing; the zero value is not meaningful.
+// Packing holds the precomputed lane geometry of a packable format, plus
+// the dequantization LUT for narrow lanes. Obtain one with Format.Packing;
+// the zero value is not meaningful.
 type Packing struct {
 	format Format
 	width  uint // lane width in bits
 	lanes  int  // lanes per word: 64 / width
 
-	laneMask Word // (1<<width)-1: one full lane at position 0
-	lowBits  Word // bit 0 of every lane        (e.g. 0x0101… for width 8)
-	msbBits  Word // MSB of every lane          (e.g. 0x8080… for width 8)
-
-	step    float64   // quantization step 1/2^n
-	invStep float64   // 2^n: exact inverse, multiplication instead of division
-	lut     []float64 // lut[c] = float64(c)·step; nil for lanes wider than 8 bits
+	laneMask Word      // (1<<width)-1: one full lane at position 0
+	step     float64   // quantization step 1/2^n
+	invStep  float64   // 2^n: exact inverse, multiplication instead of division
+	lut      []float64 // lut[c] = float64(c)·step; nil for lanes wider than 8 bits
 }
 
-// Packing derives the SWAR constants for a packable format. It fails for
+// Packing derives the lane geometry for a packable format. It fails for
 // float formats and widths that do not divide 64 (use Packable to probe).
 func (f Format) Packing() (*Packing, error) {
 	if !f.Packable() {
@@ -70,10 +67,6 @@ func (f Format) Packing() (*Packing, error) {
 		step:     f.Step(),
 		invStep:  math.Ldexp(1, f.FracBits),
 	}
-	for i := 0; i < p.lanes; i++ {
-		p.lowBits |= Word(1) << (uint(i) * width)
-	}
-	p.msbBits = p.lowBits << (width - 1)
 	if width <= 8 {
 		// 2 KB worst case (256 entries) — stays L1-resident. Wider lanes
 		// dequantize arithmetically; a 512 KB 16-bit LUT would thrash cache.
@@ -163,114 +156,10 @@ func (p *Packing) Unpack(words []Word, n int, dst []uint32) []uint32 {
 	return dst
 }
 
-// broadcast replicates a code into every lane.
-func (p *Packing) broadcast(c uint32) Word {
-	return (Word(c) & p.laneMask) * p.lowBits
-}
-
-// laneAdd adds a to x per lane, modulo 2^width, with carries fenced at lane
-// boundaries: the MSBs are masked out so the low-bit sum can only carry into
-// the MSB position, then the true MSB parity is recombined by XOR.
-func (p *Packing) laneAdd(x, a Word) Word {
-	h := p.msbBits
-	return (x&^h + a&^h) ^ (x^a)&h
-}
-
-// laneSub subtracts a from x per lane, modulo 2^width. Seeding each lane's
-// MSB of the minuend fences borrows: the low-bit difference can consume the
-// seeded MSB but never borrow across a lane; the true MSB is recomputed
-// from the operands' MSBs and the borrow indicator.
-func (p *Packing) laneSub(x, a Word) Word {
-	h := p.msbBits
-	d := (x | h) - a&^h
-	return d&^h | (x^a^^d)&h
-}
-
-// lanesGE returns full-lane masks (all bits of the lane set) where
-// lane(x) ≥ lane(y), unsigned. Exact for all inputs: the low bits compare
-// via a borrow-fenced subtraction and the MSBs resolve the three MSB cases
-// directly.
-func (p *Packing) lanesGE(x, y Word) Word {
-	h := p.msbBits
-	// d's MSB per lane = 1 iff low(x) ≥ low(y) (seeded MSB survived).
-	d := (x&^h | h) - y&^h
-	ge := (x & ^y & h) | (^(x ^ y) & d & h)
-	return p.expandMSB(ge)
-}
-
-// expandMSB spreads lane-MSB bits into full-lane masks. The selected MSBs
-// shift down to the lane's low bit and multiply by the lane mask; lanes
-// cannot overlap, so the products OR together carry-free.
-func (p *Packing) expandMSB(m Word) Word {
-	return (m >> (p.width - 1)) * p.laneMask
-}
-
-// addSatOneWord applies a saturating +1 to every lane selected by sel (a
-// full-lane mask, as produced by SetLane), clamping at the ceil lane value
-// ceilB (broadcast form). Lanes already at or above ceil clamp to exactly
-// ceil — the same semantics as Format.AddSat with a flat one-step update.
-func (p *Packing) addSatOneWord(w, sel, ceilB Word) Word {
-	capped := p.lanesGE(w, ceilB)
-	out := p.laneAdd(w, sel&^capped&p.lowBits)
-	clamp := sel & capped
-	return out&^clamp | ceilB&clamp
-}
-
-// subSatOneWord applies a saturating −1 to every lane selected by sel,
-// clamping at the floor lane value floorB (broadcast form). Lanes at or
-// below floor clamp to exactly floor — Format.SubSat with a flat one-step
-// update.
-func (p *Packing) subSatOneWord(w, sel, floorB Word) Word {
-	floored := p.lanesGE(floorB, w)
-	out := p.laneSub(w, sel&^floored&p.lowBits)
-	clamp := sel & floored
-	return out&^clamp | floorB&clamp
-}
-
-// NewSelect allocates a lane-select mask covering n lanes, all clear.
-// Select masks use full-lane bits (SetLane) so they compose directly with
-// the word kernels.
-func (p *Packing) NewSelect(n int) []Word {
-	return make([]Word, p.WordsFor(n))
-}
-
-// SetLane marks lane i in a select mask.
-func (p *Packing) SetLane(sel []Word, i int) {
-	sel[i/p.lanes] |= p.laneMask << (uint(i%p.lanes) * p.width)
-}
-
-// AddSatMasked applies a saturating one-step increment to every lane
-// selected in sel, word-parallel, clamping at code ceil. This is the
-// word-kernel form of Format.AddSat for the paper's ≤8-bit learning modes,
-// where the update amplitude is pinned to the quantization step (§III-C):
-// 8–32 synapses potentiate per operation instead of one.
-//
-//psslint:noalloc
-func (p *Packing) AddSatMasked(words, sel []Word, ceil uint32) {
-	ceilB := p.broadcast(ceil)
-	for wi, m := range sel {
-		if m != 0 {
-			words[wi] = p.addSatOneWord(words[wi], m, ceilB)
-		}
-	}
-}
-
-// SubSatMasked is AddSatMasked's depression twin: a saturating one-step
-// decrement on every selected lane, clamping at code floor.
-//
-//psslint:noalloc
-func (p *Packing) SubSatMasked(words, sel []Word, floor uint32) {
-	floorB := p.broadcast(floor)
-	for wi, m := range sel {
-		if m != 0 {
-			words[wi] = p.subSatOneWord(words[wi], m, floorB)
-		}
-	}
-}
-
-// IncSat applies a saturating one-step increment to a single lane — the
-// per-synapse form the dense plasticity path uses when only one lane of a
-// row moves.
+// IncSat applies a saturating one-step increment to a single lane, clamping
+// at code ceil: Format.AddSat with the update pinned to one quantization
+// step (§III-C). On the flat-step (≤8-bit) path it and DecSat are the only
+// writes STDP makes; wider formats write through Set.
 //
 //psslint:noalloc
 func (p *Packing) IncSat(words []Word, i int, ceil uint32) uint32 {

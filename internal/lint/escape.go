@@ -20,7 +20,7 @@ import (
 type NoAllocFunc struct {
 	PkgPath string
 	File    string // absolute path
-	Name    string // display name, e.g. (*Matrix).AccumulateSpikesRange
+	Name    string // display name, e.g. (*Matrix).AccumulateSpikes
 	Start   int    // first line of the declaration (doc comment excluded)
 	End     int    // last line of the body
 }

@@ -145,7 +145,7 @@ func TestNoAllocFuncsKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := "internal/synapse/matrix.go:(*Matrix).AccumulateSpikesRange"
+	want := "internal/synapse/matrix.go:(*Matrix).AccumulateSpikes"
 	found := false
 	for _, f := range funcs {
 		if f.Key(root) == want {

@@ -66,7 +66,7 @@ func runFixedRange(pass *Pass) error {
 				}
 			case *ast.IndexExpr:
 				if isWordSequence(pass.TypesInfo, n.X) {
-					pass.Report(n.Pos(), "indexing packed fixed.Word codes addresses a carrier word, not a synapse; use the fixed.Packing kernels (Get/Set/AddSatMasked/AccumulateRange)")
+					pass.Report(n.Pos(), "indexing packed fixed.Word codes addresses a carrier word, not a synapse; use the fixed.Packing kernels (Get/Set/IncSat/DecSat/AccumulateRows)")
 				}
 			}
 			return true

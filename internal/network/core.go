@@ -251,7 +251,7 @@ func (c *Core) run(h *trainHook) int {
 		}
 
 		t = c.obsIntegrate.Start()
-		c.syn.AccumulateSpikesRange(in, c.amp, decay, cur, 0, len(cur))
+		c.syn.AccumulateSpikes(in, c.amp, decay, cur)
 		cand = pop.CandidatesRange(0, len(cur), c.dt, now, cur, cand[:0])
 		c.obsIntegrate.Stop(t)
 
@@ -347,7 +347,7 @@ func (h *trainHook) fired(post []int, now float64) {
 	if h.learn {
 		tp := n.obsPlast.Start()
 		for _, p := range post {
-			n.Plast.OnPostSpikeRange(p, now, n.lastPre, n.step, 0, n.Cfg.NumInputs)
+			n.Plast.OnPostSpike(p, now, n.lastPre, n.step)
 		}
 		n.obsPlast.Stop(tp)
 		n.obsSynUpd.Add(uint64(len(post) * n.Cfg.NumInputs))

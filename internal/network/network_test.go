@@ -284,8 +284,7 @@ func TestPresentationsAreReproduciblePacked(t *testing.T) {
 
 // checkReproducible trains two fresh networks built from cfg over the same
 // images and fails unless spike counts, synaptic currents, weights and
-// membranes match exactly after every presentation, and the update
-// counters at the end. The currents are compared because under
+// membranes match exactly after every presentation. The currents are compared because under
 // winner-take-all most membranes end a presentation clamped at reset,
 // which would hide an integrate kernel that read a few stray lanes. opts
 // apply to the second network only.
@@ -334,11 +333,6 @@ func checkReproducible(t *testing.T, name string, cfg Config, ctl encode.Control
 	}
 	if a.TotalExcSpikes == 0 {
 		t.Fatalf("%s: no neuron fired; the check would compare silent layers", name)
-	}
-	pa, da := a.Plast.Counters()
-	pb, db := b.Plast.Counters()
-	if pa != pb || da != db {
-		t.Fatalf("%s: update counters diverged: pot %d vs %d, dep %d vs %d", name, pa, pb, da, db)
 	}
 }
 

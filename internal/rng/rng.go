@@ -17,10 +17,7 @@
 // never be replaced by math/rand's global state inside simulation code.
 package rng
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // SplitMix64 advances the given state by the SplitMix64 step and returns the
 // next 64-bit output. It is the canonical seeding/mixing function used to
@@ -208,63 +205,4 @@ func (r *Stream) Bernoulli(p float64) bool {
 // Range returns a float64 uniform on [lo, hi).
 func (r *Stream) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
-}
-
-// NormFloat64 returns a standard normal variate using the polar
-// (Marsaglia) method.
-func (r *Stream) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Poisson returns a Poisson(lambda) variate. For small lambda it uses
-// Knuth's product method; for large lambda, the PTRS transformed-rejection
-// method would be overkill here, so it falls back to a normal approximation
-// (the simulator only uses lambdas well below 30 per time step).
-func (r *Stream) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := int(math.Round(lambda + math.Sqrt(lambda)*r.NormFloat64()))
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// Perm fills dst with a uniformly random permutation of [0, len(dst)).
-func (r *Stream) Perm(dst []int) {
-	for i := range dst {
-		dst[i] = i
-	}
-	for i := len(dst) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-}
-
-// Shuffle permutes dst in place using the Fisher-Yates algorithm.
-func (r *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

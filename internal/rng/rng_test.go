@@ -269,86 +269,6 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewStream(6)
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestPoissonMean(t *testing.T) {
-	r := NewStream(9)
-	for _, lambda := range []float64{0.1, 1, 5, 20, 50} {
-		const n = 50000
-		sum := 0
-		for i := 0; i < n; i++ {
-			sum += r.Poisson(lambda)
-		}
-		mean := float64(sum) / n
-		if math.Abs(mean-lambda) > 0.05*lambda+0.02 {
-			t.Errorf("Poisson(%v) mean = %v", lambda, mean)
-		}
-	}
-}
-
-func TestPoissonNonNegative(t *testing.T) {
-	r := NewStream(10)
-	if r.Poisson(0) != 0 {
-		t.Fatal("Poisson(0) != 0")
-	}
-	if r.Poisson(-1) != 0 {
-		t.Fatal("Poisson(-1) != 0")
-	}
-	for i := 0; i < 1000; i++ {
-		if r.Poisson(100) < 0 {
-			t.Fatal("Poisson produced negative value")
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewStream(11)
-	dst := make([]int, 257)
-	r.Perm(dst)
-	seen := make([]bool, len(dst))
-	for _, v := range dst {
-		if v < 0 || v >= len(dst) || seen[v] {
-			t.Fatalf("Perm produced invalid/duplicate element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestShufflePreservesMultiset(t *testing.T) {
-	r := NewStream(12)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed elements: sum %d -> %d", sum, got)
-	}
-}
-
-// Property: Float64From always lands in [0,1).
 func TestFloat64FromProperty(t *testing.T) {
 	f := func(u uint64) bool {
 		v := Float64From(u)

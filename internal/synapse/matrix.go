@@ -18,12 +18,12 @@ import (
 // format (width divides 64: Q0.2, Q0.4, Q1.7, Q1.15) conductances are held
 // as native Qm.n codes packed lanes-per-uint64 in a struct-of-arrays row
 // layout — each row is a contiguous run of fixed.Word, padded to a word
-// boundary — and the hot kernels (eq. 3 integration, flat-step LTP/LTD)
-// run word-parallel over them (see internal/fixed's SWAR layer and
-// DESIGN.md §14). The float path and any unpackable format fall back to a
-// flat []fixed.Weight behind the same interface.
+// boundary. Eq. 3 integration reads whole words of the spiking rows, and
+// flat-step LTP/LTD moves one lane at a time (see internal/fixed's packed
+// kernels and DESIGN.md §14). The float path and any unpackable format fall
+// back to a flat []fixed.Weight behind the same interface.
 //
-// Reads go through At / RowCodes / ForEachRow / Column / Weights; writes go
+// Reads go through At / ForEachRow / Column / Weights; writes go
 // through the quantizing Set or the on-grid SetWeight. No caller sees the
 // raw storage: there is no exported backing slice and no mutable row
 // accessor, so layout changes cannot leak and every write provably lands on
@@ -103,18 +103,6 @@ func (m *Matrix) SetWeight(pre, post int, w fixed.Weight) {
 		return
 	}
 	m.g[pre*m.NPost+post] = w
-}
-
-// RowCodes returns the packed code words of input pre's row — NPost lanes,
-// padded to a word boundary — or nil on the fallback store. The slice
-// aliases the matrix: treat it as read-only (psslint additionally bans
-// indexing into packed words outside internal/fixed, so callers can only
-// hand it to the sanctioned fixed kernels).
-func (m *Matrix) RowCodes(pre int) []fixed.Word {
-	if m.pk == nil {
-		return nil
-	}
-	return m.rowWords(pre)
 }
 
 // ForEachRow calls fn for every input row in ascending pre order with the
@@ -230,23 +218,25 @@ func (m *Matrix) Stats() (minG, maxG, mean float64) {
 	return minG, maxG, sum / float64(m.Len())
 }
 
-// AccumulateSpikesRange is eq. 3 for one step over the post neurons
-// [lo, hi): it decays each current[i] by decay (clears it when decay is 0)
-// and then adds g(pre, i)·amp for every input pre in pres, in pres order.
-// The step core (network.Core) integrates through it for training and
-// inference alike. On the packed store it runs fixed's register-blocked
-// AccumulateRows, which reads each spiking row's words once per block of
-// lanes and keeps the block's currents in registers across the rows, with
-// the decay fused into the block's load; the float fallback runs
+// AccumulateSpikes is eq. 3 for one step over every post neuron: it
+// decays each current[i] by decay (clears it when decay is 0) and then adds
+// g(pre, i)·amp for every input pre in pres, in pres order. current holds
+// one entry per post neuron; a shorter slice panics. The step core
+// (network.Core) integrates through it for training and inference alike.
+// On the packed store it runs fixed's register-blocked AccumulateRows,
+// which reads each spiking row's words once per block of lanes and keeps
+// the block's currents in registers across the rows, with the decay fused
+// into the block's load; the float fallback runs
 // fixed.AccumulateWeightRows, the same shape over float64 weights. Either
 // way the currents are bit-identical to a decay pass followed by adding
 // the rows one by one.
 //
 //psslint:noalloc
-func (m *Matrix) AccumulateSpikesRange(pres []int, amp, decay float64, current []float64, lo, hi int) {
+func (m *Matrix) AccumulateSpikes(pres []int, amp, decay float64, current []float64) {
+	current = current[:m.NPost]
 	if m.pk != nil {
-		m.pk.AccumulateRows(m.words, m.wpr, pres, amp, decay, current, lo, hi)
+		m.pk.AccumulateRows(m.words, m.wpr, pres, amp, decay, current, 0, m.NPost)
 		return
 	}
-	fixed.AccumulateWeightRows(m.g, m.NPost, pres, amp, decay, current, lo, hi)
+	fixed.AccumulateWeightRows(m.g, m.NPost, pres, amp, decay, current, 0, m.NPost)
 }

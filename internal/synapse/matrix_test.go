@@ -98,36 +98,6 @@ func TestMatrixSetClampsAndFills(t *testing.T) {
 	}
 }
 
-func TestRowCodesAliasesPackedStore(t *testing.T) {
-	m, err := NewMatrix(3, 5, fixed.Q1p7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk := m.packing()
-	codes := m.RowCodes(2)
-	if codes == nil {
-		t.Fatal("RowCodes nil on packed store")
-	}
-	m.SetWeight(2, 3, fixed.Weight(fixed.Q1p7.Step()*17))
-	if got := pk.Get(codes, 3); got != 17 {
-		t.Fatalf("RowCodes did not alias the store: code %d, want 17", got)
-	}
-	// Padding lanes beyond NPost stay zero.
-	for i := m.NPost; i < pk.WordsFor(m.NPost)*pk.Lanes(); i++ {
-		if pk.Get(codes, i) != 0 {
-			t.Fatalf("padding lane %d nonzero", i)
-		}
-	}
-
-	fm, err := NewMatrix(3, 5, fixed.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fm.RowCodes(0) != nil {
-		t.Fatal("RowCodes non-nil on fallback store")
-	}
-}
-
 func TestMatrixCloneIsDeep(t *testing.T) {
 	for _, f := range []fixed.Format{fixed.Q1p7, fixed.Float32} {
 		m, err := NewMatrix(4, 6, f)
@@ -144,12 +114,13 @@ func TestMatrixCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestAccumulateSpikesRangeMatchesAt: the multi-row integrate entry is
+// TestAccumulateSpikesMatchesAt: the multi-row integrate entry is
 // bit-identical to a decay pass (a clear at decay 0) followed by summing
 // At(pre, i)·amp row by row in pres order, on the packed stores and the
 // float fallback, for post counts that are not a multiple of any lane
-// count, unaligned windows and empty or duplicate spike lists.
-func TestAccumulateSpikesRangeMatchesAt(t *testing.T) {
+// count and empty or duplicate spike lists. The lane windows of the kernels
+// underneath are covered in internal/fixed.
+func TestAccumulateSpikesMatchesAt(t *testing.T) {
 	const nPre, amp = 7, 0.6
 	for _, f := range matrixFormats {
 		for _, nPost := range []int{11, 37, 1000} {
@@ -158,31 +129,24 @@ func TestAccumulateSpikesRangeMatchesAt(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.InitUniform(rng.NewStream(5), 0, 1)
-			spans := [][2]int{{0, nPost}, {3, 9}, {5, 5}, {1, nPost - 2}, {nPost / 3, 2 * nPost / 3}}
 			for _, pres := range [][]int{nil, {4}, {0, 2, 2, 6}, {6, 5, 4, 3, 2, 1, 0, 1, 3}} {
-				for _, span := range spans {
-					for _, decay := range []float64{1, 0, math.Exp(-0.25)} {
-						lo, hi := span[0], span[1]
-						got := make([]float64, nPost)
-						want := make([]float64, nPost)
-						for i := range got {
-							got[i] = float64(i) * 0.01
-							want[i] = got[i]
-						}
-						m.AccumulateSpikesRange(pres, amp, decay, got, lo, hi)
-						for i := lo; i < hi; i++ {
-							want[i] *= decay
-						}
-						for _, pre := range pres {
-							for i := lo; i < hi; i++ {
-								want[i] += float64(float64(m.At(pre, i)) * amp)
-							}
-						}
+				for _, decay := range []float64{1, 0, math.Exp(-0.25)} {
+					got := make([]float64, nPost)
+					want := make([]float64, nPost)
+					for i := range got {
+						got[i] = float64(i) * 0.01
+						want[i] = got[i] * decay
+					}
+					m.AccumulateSpikes(pres, amp, decay, got)
+					for _, pre := range pres {
 						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s nPost=%d pres=%v [%d,%d) decay=%v: current[%d] = %v, want %v",
-									f, nPost, pres, lo, hi, decay, i, got[i], want[i])
-							}
+							want[i] += float64(float64(m.At(pre, i)) * amp)
+						}
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s nPost=%d pres=%v decay=%v: current[%d] = %v, want %v",
+								f, nPost, pres, decay, i, got[i], want[i])
 						}
 					}
 				}

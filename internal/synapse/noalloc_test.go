@@ -23,7 +23,7 @@ func skipIfInstrumented(t *testing.T) {
 	}
 }
 
-func TestNoAllocAccumulateSpikesRange(t *testing.T) {
+func TestNoAllocAccumulateSpikes(t *testing.T) {
 	skipIfInstrumented(t)
 	pres := []int{0, 2, 2, 3}
 	for _, f := range []fixed.Format{fixed.Q0p2, fixed.Q0p4, fixed.Q1p7, fixed.Q1p15, fixed.Float32} {
@@ -34,11 +34,10 @@ func TestNoAllocAccumulateSpikesRange(t *testing.T) {
 		m.InitUniform(rng.NewStream(2), 0.1, 0.9)
 		cur := make([]float64, 45)
 		avg := testing.AllocsPerRun(50, func() {
-			m.AccumulateSpikesRange(pres, 0.6, 0.75, cur, 0, 45) // register blocks + tail
-			m.AccumulateSpikesRange(pres, 0.6, 0.75, cur, 3, 7)  // no full block
+			m.AccumulateSpikes(pres, 0.6, 0.75, cur) // register blocks + tail
 		})
 		if avg != 0 {
-			t.Errorf("%s: AccumulateSpikesRange allocates %.1f per run, want 0", f, avg)
+			t.Errorf("%s: AccumulateSpikes allocates %.1f per run, want 0", f, avg)
 		}
 	}
 }
@@ -46,8 +45,8 @@ func TestNoAllocAccumulateSpikesRange(t *testing.T) {
 // TestNoAllocOnPostSpike: both rules on a small 8-bit store, and the
 // stochastic kernel at the train-fast geometry, 784 pres × 1000 posts at
 // the high-frequency preset on the packed Q1.7 and the float32 store:
-// whole 64-pre blocks, the short last block, and a range split off the
-// 8-lane grid.
+// whole 64-pre blocks and the short last block, on a scattered post and
+// on one that repeats.
 func TestNoAllocOnPostSpike(t *testing.T) {
 	skipIfInstrumented(t)
 	// Mix of recent (inside the LTP window) and stale pre spikes so both
@@ -87,16 +86,14 @@ func TestNoAllocOnPostSpike(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, cut := len(c.lastPre), len(c.lastPre)/2+1
 		step := uint64(0)
 		avg := testing.AllocsPerRun(50, func() {
-			p.OnPostSpikeRange(int(step*389)%c.nPost, 40, c.lastPre, step, 0, n)
-			p.OnPostSpikeRange(2, 40, c.lastPre, step, 0, cut)
-			p.OnPostSpikeRange(2, 40, c.lastPre, step, cut, n)
+			p.OnPostSpike(int(step*389)%c.nPost, 40, c.lastPre, step)
+			p.OnPostSpike(2, 40, c.lastPre, step)
 			step++
 		})
 		if avg != 0 {
-			t.Errorf("%s %s %v: OnPostSpikeRange allocates %.1f per run, want 0", c.preset, c.format, c.kind, avg)
+			t.Errorf("%s %s %v: OnPostSpike allocates %.1f per run, want 0", c.preset, c.format, c.kind, avg)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 
 	"parallelspikesim/internal/check"
 	"parallelspikesim/internal/fixed"
@@ -34,9 +33,10 @@ const rollBlockLen = 64
 
 // Plasticity applies STDP updates to a conductance matrix according to a
 // Config. It owns no RNG state: every stochastic decision is a pure function
-// of (Config.Seed, event tag, step, pre, post), which makes updates safe to
-// apply from multiple goroutines as long as no two goroutines touch the same
-// post neuron (the engine partitions by post index).
+// of (Config.Seed, event tag, step, pre, post), so the weights a run
+// learns depend only on the post spikes it presents, in their order. The
+// network applies each post spike's column update on the presenting
+// goroutine.
 type Plasticity struct {
 	// Cfg is read-only after NewPlasticity: the fast-step codes, roll keys
 	// and age tables below are derived from it.
@@ -46,14 +46,15 @@ type Plasticity struct {
 	// fastStep marks the flat-step code path: the matrix uses the packed
 	// store and the format is ≤8 bits, so potMagnitude/depMagnitude are
 	// pinned to the quantization step (§III-C) and both bounds sit on the
-	// grid. Every update is then exactly a saturating ±1 in the code
-	// domain — quantization has zero residue, so the rounding option (and
-	// its stochastic roll, a pure counter-based function with no stream
-	// state) never engages — and runs on packed lanes without leaving the
-	// integer domain. Bit-identical to the scalar AddSat/SubSat path by
-	// construction; the property tests in internal/fixed and the golden
-	// wall pin it. simcheck builds take the scalar path instead so the
-	// per-update WeightUpdate assertions still fire.
+	// grid. Every update is then exactly a saturating ±1 on one packed
+	// lane (fixed.Packing.IncSat/DecSat) — quantization has zero residue,
+	// so the rounding option (and its stochastic roll, a pure
+	// counter-based function with no stream state) never engages — and
+	// never leaves the integer domain. Bit-identical to the scalar
+	// AddSat/SubSat path by construction; TestIncDecSatMatchScalar in
+	// internal/fixed and the golden wall pin it. simcheck builds take the
+	// scalar path instead so the per-update WeightUpdate assertions still
+	// fire.
 	fastStep  bool
 	ceilCode  uint32 // GCeil as a lane code (valid when fastStep)
 	floorCode uint32 // Det.GMin as a lane code (valid when fastStep)
@@ -65,11 +66,6 @@ type Plasticity struct {
 	// deterministic rule.
 	potKey, depKey uint64
 	thr            []rollThr
-
-	// Event counters (diagnostics). Updated atomically, once per call:
-	// range updates for different posts run on different workers.
-	potApplied atomic.Uint64
-	depApplied atomic.Uint64
 }
 
 // NewPlasticity validates the config and binds it to a matrix.
@@ -105,33 +101,10 @@ func NewPlasticity(cfg Config, m *Matrix) (*Plasticity, error) {
 	return p, nil
 }
 
-// Counters reports how many potentiation/depression updates were applied.
-func (p *Plasticity) Counters() (potApplied, depApplied uint64) {
-	return p.potApplied.Load(), p.depApplied.Load()
-}
-
-// ResetCounters zeroes the diagnostic counters.
-func (p *Plasticity) ResetCounters() {
-	p.potApplied.Store(0)
-	p.depApplied.Store(0)
-}
-
-// count publishes a batch's locally accumulated update counts: at most two
-// atomic adds per call instead of one per update.
-func (p *Plasticity) count(pots, deps uint64) {
-	if pots > 0 {
-		p.potApplied.Add(pots)
-	}
-	if deps > 0 {
-		p.depApplied.Add(deps)
-	}
-}
-
 // applyPot performs the arithmetic of one LTP step to synapse (pre, post)
 // through the saturating update helper, which quantizes with the configured
 // rounding option (the fixedrange analyzer forbids raw arithmetic on the
-// Weight). It does not touch the diagnostic counters: callers count locally
-// and publish once per batch.
+// Weight).
 //
 //psslint:noalloc
 func (p *Plasticity) applyPot(pre, post int, step uint64) {
@@ -157,7 +130,7 @@ func (p *Plasticity) applyPot(pre, post int, step uint64) {
 }
 
 // applyDep performs the arithmetic of one LTD step to synapse (pre, post)
-// through the saturating update helper, without counter bookkeeping.
+// through the saturating update helper.
 //
 //psslint:noalloc
 func (p *Plasticity) applyDep(pre, post int, step uint64) {
@@ -256,8 +229,7 @@ func rollDrawsGo(hPot, hDep uint64, post, lo int, pot, dep []uint64) {
 }
 
 // rollRange runs the stochastic rule for the synapses [lo, hi) of column
-// post at step, and returns how many it potentiated and depressed. It
-// works in blocks of rollBlockLen pres. A block takes every draw first
+// post at step. It works in blocks of rollBlockLen pres. A block takes every draw first
 // (rollDraws), then decides each synapse with two integer compares against
 // the thresholds at its age, building a pot and a dep mask in which a
 // synapse that potentiates does not depress; then it applies the set bits
@@ -265,11 +237,11 @@ func rollDrawsGo(hPot, hDep uint64, post, lo int, pot, dep []uint64) {
 // closed-form P_pot(age) (eq. 6) and, failing that, P_dep =
 // PDepEvent(age, W) (eq. 7) (see drawThreshold); taking the LTD draw of a
 // synapse that potentiates changes no outcome, since every draw is a pure
-// function of its counters. The draws live on the stack, so callers on
-// disjoint posts share nothing.
+// function of its counters. The draws live on the stack, so a post spike
+// allocates nothing.
 //
 //psslint:noalloc
-func (p *Plasticity) rollRange(post int, now float64, lastPre []float64, step uint64, lo, hi int) (pots, deps uint64) {
+func (p *Plasticity) rollRange(post int, now float64, lastPre []float64, step uint64, lo, hi int) {
 	hPot, hDep := p.rollKeys(step)
 	var pot, dep [rollBlockLen]uint64
 	for ; lo < hi; lo += rollBlockLen {
@@ -298,16 +270,14 @@ func (p *Plasticity) rollRange(post int, now float64, lastPre []float64, step ui
 		for m := depMask; m != 0; m &= m - 1 {
 			p.applyDep(lo+bits.TrailingZeros64(m), post, step)
 		}
-		pots += uint64(bits.OnesCount64(potMask))
-		deps += uint64(bits.OnesCount64(depMask))
 	}
-	return pots, deps
 }
 
-// OnPostSpikeRange applies the learning rule for a post-neuron spike at absolute
-// time now (ms). lastPre[i] holds the last spike time of input i (Never if
-// it has not spiked). step is the global simulation step index used to key
-// stochastic draws.
+// OnPostSpike applies the learning rule for a post-neuron spike at absolute
+// time now (ms) to every input synapse of column post. lastPre[i] holds
+// the last spike time of input i (Never if it has not spiked), one entry
+// per input; a shorter slice panics. step is the global simulation step
+// index used to key stochastic draws.
 //
 // Both rules are post-event rules over every input synapse, classifying it
 // by the age of its last pre spike (Δt = now − lastPre):
@@ -321,28 +291,22 @@ func (p *Plasticity) rollRange(post int, now float64, lastPre []float64, step ui
 //     (StochParams.PDepEvent). Loosely correlated events therefore change
 //     conductance only rarely — the paper's explanation for why stochastic
 //     STDP retains memory and survives coarse quantization (§IV-D). The
-//     range runs through rollRange, rollBlockLen pres at a time.
-//
-// Only input synapses [lo, hi) of the post column move: disjoint pre
-// ranges of one column never race, so a caller may split an update.
+//     column runs through rollRange, rollBlockLen pres at a time.
 //
 //psslint:noalloc
-func (p *Plasticity) OnPostSpikeRange(post int, now float64, lastPre []float64, step uint64, lo, hi int) {
-	var pots, deps uint64
+func (p *Plasticity) OnPostSpike(post int, now float64, lastPre []float64, step uint64) {
+	lastPre = lastPre[:p.M.NPre]
 	switch p.Cfg.Kind {
 	case Deterministic:
 		w := p.Cfg.Det.WindowMS
-		for pre := lo; pre < hi; pre++ {
-			if now-lastPre[pre] <= w {
+		for pre, last := range lastPre {
+			if now-last <= w {
 				p.applyPot(pre, post, step)
-				pots++
 			} else {
 				p.applyDep(pre, post, step)
-				deps++
 			}
 		}
 	case Stochastic:
-		pots, deps = p.rollRange(post, now, lastPre, step, lo, hi)
+		p.rollRange(post, now, lastPre, step, 0, len(lastPre))
 	}
-	p.count(pots, deps)
 }

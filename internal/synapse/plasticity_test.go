@@ -109,18 +109,18 @@ func TestMatrixFillAndClone(t *testing.T) {
 	}
 }
 
-func TestAccumulateSpikesRangeAdds(t *testing.T) {
+func TestAccumulateSpikesAdds(t *testing.T) {
 	m, _ := NewMatrix(2, 3, fixed.Float32)
 	m.Set(0, 0, 0.5)
 	m.Set(0, 1, 0.25)
 	cur := make([]float64, 3)
-	m.AccumulateSpikesRange([]int{0}, 2.0, 1, cur, 0, 3)
+	m.AccumulateSpikes([]int{0}, 2.0, 1, cur)
 	if cur[0] != 1.0 || cur[1] != 0.5 || cur[2] != 0 {
 		t.Fatalf("current = %v", cur)
 	}
-	m.AccumulateSpikesRange([]int{0}, 2.0, 1, cur, 0, 3)
+	m.AccumulateSpikes([]int{0}, 2.0, 1, cur)
 	if cur[0] != 2.0 {
-		t.Fatal("AccumulateSpikesRange should add, not overwrite")
+		t.Fatal("AccumulateSpikes should add, not overwrite")
 	}
 }
 
@@ -148,7 +148,7 @@ func TestDeterministicPostSpikeClassification(t *testing.T) {
 
 	// Pre 0 fired recently (causal), pre 1 long ago, pre 2 never.
 	lastPre := []float64{95, 10, Never}
-	p.OnPostSpikeRange(0, 100, lastPre, 1, 0, len(lastPre))
+	p.OnPostSpike(0, 100, lastPre, 1)
 
 	if m.At(0, 0) <= 0.5 {
 		t.Errorf("causal synapse not potentiated: %v", m.At(0, 0))
@@ -165,7 +165,7 @@ func TestDeterministicUpdateMagnitudes(t *testing.T) {
 	cfg := floatConfig(Deterministic)
 	p, m := newPair(t, cfg, 2, 1)
 	m.Fill(0.5)
-	p.OnPostSpikeRange(0, 100, []float64{99, 0}, 1, 0, 2)
+	p.OnPostSpike(0, 100, []float64{99, 0}, 1)
 	// eq. 4 at G=0.5: ΔG_p = 0.01·e^{-1.5}
 	wantUp := 0.5 + 0.01*math.Exp(-1.5)
 	if got := float64(m.At(0, 0)); math.Abs(got-wantUp) > 1e-12 {
@@ -187,7 +187,7 @@ func TestStochasticPostSpikeRespectsProbability(t *testing.T) {
 	m.Fill(0.5)
 	lastPre := []float64{100, -200} // pre 0 just fired, pre 1 fired 300ms ago
 	for post := 0; post < nPost; post++ {
-		p.OnPostSpikeRange(post, 100, lastPre, uint64(post), 0, len(lastPre))
+		p.OnPostSpike(post, 100, lastPre, uint64(post))
 	}
 	upRecent, upStale := 0, 0
 	for post := 0; post < nPost; post++ {
@@ -218,7 +218,7 @@ func TestStochasticStaleDepressionProbability(t *testing.T) {
 	w := cfg.Det.WindowMS
 	lastPre := []float64{100 - w}
 	for post := 0; post < nPost; post++ {
-		p.OnPostSpikeRange(post, 100, lastPre, uint64(post), 0, len(lastPre))
+		p.OnPostSpike(post, 100, lastPre, uint64(post))
 	}
 	down, up := 0, 0
 	for post := 0; post < nPost; post++ {
@@ -250,7 +250,7 @@ func TestStochasticVeryStaleDepressesAtCeiling(t *testing.T) {
 	m.Fill(0.5)
 	lastPre := []float64{-1000} // ~1.1 s stale
 	for post := 0; post < nPost; post++ {
-		p.OnPostSpikeRange(post, 100, lastPre, uint64(post), 0, len(lastPre))
+		p.OnPostSpike(post, 100, lastPre, uint64(post))
 	}
 	down := 0
 	for post := 0; post < nPost; post++ {
@@ -269,7 +269,7 @@ func TestStochasticNeverFiredPreDepresses(t *testing.T) {
 	m.Fill(0.5)
 	// A pre that never fired carries no causal evidence: the post-event
 	// rule depresses it with certainty (PDepEvent(+Inf) = 1).
-	p.OnPostSpikeRange(0, 100, []float64{Never}, 1, 0, 1)
+	p.OnPostSpike(0, 100, []float64{Never}, 1)
 	if m.At(0, 0) >= 0.5 {
 		t.Fatalf("never-fired pre not depressed: %v", m.At(0, 0))
 	}
@@ -283,7 +283,7 @@ func TestConductanceStaysInBounds(t *testing.T) {
 		for step := uint64(0); step < 3000; step++ {
 			now := 100 + float64(step)
 			lastPre[0], lastPre[1] = now-1, now-2
-			p.OnPostSpikeRange(int(step)%4, now, lastPre, step, 0, len(lastPre))
+			p.OnPostSpike(int(step)%4, now, lastPre, step)
 		}
 		for i, g := range m.Weights() {
 			if float64(g) < cfg.Det.GMin-1e-12 || float64(g) > cfg.GCeil()+1e-12 {
@@ -304,7 +304,7 @@ func TestQuantizedUpdatesStayOnGrid(t *testing.T) {
 			lastPre := []float64{99, 98, 50, Never}
 			for step := uint64(0); step < 500; step++ {
 				now := 100 + float64(step)
-				p.OnPostSpikeRange(int(step)%4, now, lastPre, step, 0, len(lastPre))
+				p.OnPostSpike(int(step)%4, now, lastPre, step)
 				lastPre[int(step)%4] = now
 			}
 			for i, g := range m.Weights() {
@@ -329,7 +329,7 @@ func TestLowBitFullStepSlamming(t *testing.T) {
 	for step := uint64(0); step < 300; step++ {
 		now := 100 + float64(step)
 		// pre 0 always recent (potentiation), pre 1 always stale (depression).
-		p.OnPostSpikeRange(0, now, []float64{now - 1, 0}, step, 0, 2)
+		p.OnPostSpike(0, now, []float64{now - 1, 0}, step)
 	}
 	if got := m.At(1, 0); got > 0.01 {
 		t.Errorf("stale synapse should collapse to Gmin, G = %v", got)
@@ -352,7 +352,7 @@ func TestStochasticRoundingPreservesDrift(t *testing.T) {
 		m.Fill(0.25)
 		for step := uint64(0); step < 50; step++ {
 			now := 100 + float64(step)
-			p.OnPostSpikeRange(0, now, []float64{now - 1}, step+uint64(tr)*1000, 0, 1)
+			p.OnPostSpike(0, now, []float64{now - 1}, step+uint64(tr)*1000)
 		}
 		sum += float64(m.At(0, 0))
 	}
@@ -372,7 +372,7 @@ func TestDeterministicReproducible(t *testing.T) {
 			lastPre[i] = float64(i * 13 % 7)
 		}
 		for step := uint64(0); step < 100; step++ {
-			p.OnPostSpikeRange(int(step)%8, 100+float64(step), lastPre, step, 0, len(lastPre))
+			p.OnPostSpike(int(step)%8, 100+float64(step), lastPre, step)
 		}
 		return m.Weights()
 	}
@@ -396,7 +396,7 @@ func TestStochasticReproducibleSameSeed(t *testing.T) {
 		}
 		for step := uint64(0); step < 200; step++ {
 			now := 100 + float64(step)
-			p.OnPostSpikeRange(int(step)%8, now, lastPre, step, 0, len(lastPre))
+			p.OnPostSpike(int(step)%8, now, lastPre, step)
 		}
 		return m.Weights()
 	}
@@ -415,49 +415,6 @@ func TestStochasticReproducibleSameSeed(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("different seeds produced identical conductances")
-	}
-}
-
-// TestOnPostSpikeRangeMatchesFull: a column update split into disjoint pre
-// ranges equals the whole-column update.
-func TestOnPostSpikeRangeMatchesFull(t *testing.T) {
-	mk := func() (*Plasticity, *Matrix) {
-		cfg := floatConfig(Stochastic)
-		cfg.Seed = 3
-		m, _ := NewMatrix(16, 4, cfg.Format)
-		m.Fill(0.5)
-		p, _ := NewPlasticity(cfg, m)
-		return p, m
-	}
-	p1, m1 := mk()
-	p2, m2 := mk()
-	lastPre := make([]float64, 16)
-	for i := range lastPre {
-		lastPre[i] = 60 + float64(i*5)
-	}
-	p1.OnPostSpikeRange(2, 100, lastPre, 33, 0, len(lastPre))
-	p2.OnPostSpikeRange(2, 100, lastPre, 33, 0, 7)
-	p2.OnPostSpikeRange(2, 100, lastPre, 33, 7, 16)
-	w1, w2 := m1.Weights(), m2.Weights()
-	for i := range w1 {
-		if w1[i] != w2[i] {
-			t.Fatalf("range split diverged at synapse %d: %v vs %v", i, w1[i], w2[i])
-		}
-	}
-}
-func TestCounters(t *testing.T) {
-	cfg := floatConfig(Deterministic)
-	p, m := newPair(t, cfg, 3, 1)
-	m.Fill(0.5)
-	p.OnPostSpikeRange(0, 100, []float64{99, 0, Never}, 1, 0, 3)
-	pot, dep := p.Counters()
-	if pot != 1 || dep != 2 {
-		t.Fatalf("counters pot=%d dep=%d, want 1/2", pot, dep)
-	}
-	p.ResetCounters()
-	pot, dep = p.Counters()
-	if pot != 0 || dep != 0 {
-		t.Fatal("ResetCounters did not clear")
 	}
 }
 
@@ -480,7 +437,7 @@ func TestUpdateBoundedProperty(t *testing.T) {
 		if recent {
 			last = 99.5
 		}
-		p.OnPostSpikeRange(0, 100, []float64{last}, 7, 0, 1)
+		p.OnPostSpike(0, 100, []float64{last}, 7)
 		g1 := float64(m.At(0, 0))
 		if !cfg.Format.OnGrid(g1) {
 			return false
@@ -492,64 +449,57 @@ func TestUpdateBoundedProperty(t *testing.T) {
 	}
 }
 
-// onPostSpikeReference is the per-synapse loop OnPostSpikeRange ran before
-// its stochastic arm was folded, kept as the oracle: both closed-form
-// probabilities evaluated for every synapse, a full Hash64 per roll, one
-// counter add per update.
-func onPostSpikeReference(p *Plasticity, post int, now float64, lastPre []float64, step uint64, lo, hi int) {
+// onPostSpikeReference is the per-synapse loop OnPostSpike ran before its
+// stochastic arm was folded, kept as the oracle: both closed-form
+// probabilities evaluated for every synapse and a full Hash64 per roll.
+func onPostSpikeReference(p *Plasticity, post int, now float64, lastPre []float64, step uint64) {
 	w := p.Cfg.Det.WindowMS
 	switch p.Cfg.Kind {
 	case Deterministic:
-		for pre := lo; pre < hi; pre++ {
-			if now-lastPre[pre] <= w {
+		for pre, last := range lastPre {
+			if now-last <= w {
 				p.applyPot(pre, post, step)
-				p.potApplied.Add(1)
 			} else {
 				p.applyDep(pre, post, step)
-				p.depApplied.Add(1)
 			}
 		}
 	case Stochastic:
-		for pre := lo; pre < hi; pre++ {
-			dt := now - lastPre[pre]
+		for pre, last := range lastPre {
+			dt := now - last
 			if pp := p.Cfg.Stoch.PPot(dt); pp > 0 {
 				if rng.Bernoulli(pp, p.Cfg.Seed, tagPotRoll, step, uint64(pre), uint64(post)) {
 					p.applyPot(pre, post, step)
-					p.potApplied.Add(1)
 					continue
 				}
 			}
 			if pd := p.Cfg.Stoch.PDepEvent(dt, w); pd > 0 {
 				if rng.Bernoulli(pd, p.Cfg.Seed, tagDepRoll, step, uint64(pre), uint64(post)) {
 					p.applyDep(pre, post, step)
-					p.depApplied.Add(1)
 				}
 			}
 		}
 	}
 }
 
-// FuzzOnPostSpikeMatchesReference: OnPostSpikeRange moves every weight and
-// counter exactly as the reference loop does, across formats (float32,
-// flat-step Q1.7, Q1.15 with stochastic rounding), both rules, γ at 0, 1
-// and in between, and ages on every edge the stochastic kernel
-// distinguishes: never fired, negative, 0, fractional, around the LTP
-// window, around the threshold table's end, and far beyond it. Up to 256
-// pres, split at a fuzzed point, reach every block shape of the kernel:
-// whole 64-pre blocks, a short last block, ranges that start off the
-// 8-lane grid and cross a block edge. Posts run up to 1023.
+// FuzzOnPostSpikeMatchesReference: OnPostSpike moves every weight exactly
+// as the reference loop does, across formats (float32, flat-step Q1.7,
+// Q1.15 with stochastic rounding), both rules, γ at 0, 1 and in between,
+// and ages on every edge the stochastic kernel distinguishes: never fired,
+// negative, 0, fractional, around the LTP window, around the threshold
+// table's end, and far beyond it. Up to 256 pres reach whole 64-pre blocks
+// and a short last block of the kernel. Posts run up to 1023.
 func FuzzOnPostSpikeMatchesReference(f *testing.F) {
-	f.Add(uint8(1), true, uint8(1), 0.37, 100.0, uint64(1), uint64(9), uint16(8), uint16(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 130, 140, 200})
-	f.Add(uint8(0), true, uint8(2), 0.0, 2000.0, uint64(5), uint64(1), uint16(2), uint16(1000), []byte{3, 3, 130, 131, 255})
-	f.Add(uint8(2), true, uint8(0), 0.5, 50.5, uint64(7), uint64(3), uint16(2), uint16(5), []byte{6, 7, 8, 200, 201})
-	f.Add(uint8(2), false, uint8(1), 0.9, 1024.0, uint64(2), uint64(4), uint16(3), uint16(64), []byte{0, 7, 8, 9, 129})
+	f.Add(uint8(1), true, uint8(1), 0.37, 100.0, uint64(1), uint64(9), uint16(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 130, 140, 200})
+	f.Add(uint8(0), true, uint8(2), 0.0, 2000.0, uint64(5), uint64(1), uint16(1000), []byte{3, 3, 130, 131, 255})
+	f.Add(uint8(2), true, uint8(0), 0.5, 50.5, uint64(7), uint64(3), uint16(5), []byte{6, 7, 8, 200, 201})
+	f.Add(uint8(2), false, uint8(1), 0.9, 1024.0, uint64(2), uint64(4), uint16(64), []byte{0, 7, 8, 9, 129})
 	long := make([]byte, 200)
 	for i := range long {
 		long[i] = byte(i*37 + i/7)
 	}
-	f.Add(uint8(1), true, uint8(1), 0.25, 100.0, uint64(3), uint64(11), uint16(61), uint16(1021), long)
-	f.Add(uint8(0), true, uint8(1), 0.6, 100.0, uint64(4), uint64(12), uint16(133), uint16(389), long)
-	f.Fuzz(func(t *testing.T, format uint8, stochastic bool, gammaSel uint8, gamma, now float64, seed, step uint64, split, postSel uint16, ageSel []byte) {
+	f.Add(uint8(1), true, uint8(1), 0.25, 100.0, uint64(3), uint64(11), uint16(1021), long)
+	f.Add(uint8(0), true, uint8(1), 0.6, 100.0, uint64(4), uint64(12), uint16(389), long)
+	f.Fuzz(func(t *testing.T, format uint8, stochastic bool, gammaSel uint8, gamma, now float64, seed, step uint64, postSel uint16, ageSel []byte) {
 		kind := Deterministic
 		if stochastic {
 			kind = Stochastic
@@ -601,7 +551,6 @@ func FuzzOnPostSpikeMatchesReference(f *testing.F) {
 				lastPre[i] = Never
 			}
 		}
-		cut := int(split) % (len(lastPre) + 1)
 		post0 := int(postSel) % 1022
 		mk := func() *Plasticity {
 			m, err := NewMatrix(len(lastPre), post0+2, cfg.Format)
@@ -620,23 +569,17 @@ func FuzzOnPostSpikeMatchesReference(f *testing.F) {
 			t.Fatal("Q1.7 at the high-frequency preset is not on the flat-step path")
 		}
 		// Three spikes on two posts, a repeat so saturation is reached from
-		// both sides, and a range split at cut.
+		// both sides.
 		for i, post := range []int{post0, post0 + 1, post0} {
 			s := step + uint64(i)
-			got.OnPostSpikeRange(post, now, lastPre, s, 0, cut)
-			got.OnPostSpikeRange(post, now, lastPre, s, cut, len(lastPre))
-			onPostSpikeReference(want, post, now, lastPre, s, 0, len(lastPre))
+			got.OnPostSpike(post, now, lastPre, s)
+			onPostSpikeReference(want, post, now, lastPre, s)
 		}
 		gw, ww := got.M.Weights(), want.M.Weights()
 		for i := range gw {
 			if gw[i] != ww[i] {
 				t.Fatalf("synapse %d: got %v, reference %v (lastPre %v)", i, gw[i], ww[i], lastPre)
 			}
-		}
-		gp, gd := got.Counters()
-		wp, wd := want.Counters()
-		if gp != wp || gd != wd {
-			t.Fatalf("counters pot %d/%d dep %d/%d (got/reference)", gp, wp, gd, wd)
 		}
 	})
 }
@@ -756,7 +699,7 @@ func BenchmarkDeterministicPostSpike784(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.OnPostSpikeRange(i%100, 100, lastPre, uint64(i), 0, len(lastPre))
+		p.OnPostSpike(i%100, 100, lastPre, uint64(i))
 	}
 }
 
@@ -771,7 +714,7 @@ func BenchmarkStochasticPostSpike784(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.OnPostSpikeRange(i%100, 100, lastPre, uint64(i), 0, len(lastPre))
+		p.OnPostSpike(i%100, 100, lastPre, uint64(i))
 	}
 }
 
@@ -818,7 +761,7 @@ func benchHighFreqPostSpike(b *testing.B, f fixed.Format) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.OnPostSpikeRange((i*389)%1000, now, lastPre, uint64(i), 0, len(lastPre))
+		p.OnPostSpike((i*389)%1000, now, lastPre, uint64(i))
 	}
 }
 
@@ -839,9 +782,9 @@ func BenchmarkRollDraws(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulateSpikesRange integrates one train-fast-like step: the
+// BenchmarkAccumulateSpikes integrates one train-fast-like step: the
 // current decay and 9 spiking rows into a 1000-neuron layer.
-func BenchmarkAccumulateSpikesRange(b *testing.B) {
+func BenchmarkAccumulateSpikes(b *testing.B) {
 	pres := []int{12, 87, 150, 151, 300, 402, 555, 610, 777}
 	for _, f := range []fixed.Format{fixed.Q1p7, fixed.Float32} {
 		m, _ := NewMatrix(784, 1000, f)
@@ -849,16 +792,15 @@ func BenchmarkAccumulateSpikesRange(b *testing.B) {
 		cur := make([]float64, 1000)
 		b.Run(f.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m.AccumulateSpikesRange(pres, 1.0, math.Exp(-0.25), cur, 0, 1000)
+				m.AccumulateSpikes(pres, 1.0, math.Exp(-0.25), cur)
 			}
 		})
 	}
 }
 
-func TestApplyHelpersSkipCounters(t *testing.T) {
-	// applyPot/applyDep are the counter-free kernels OnPostSpikeRange counts
-	// around: applied by hand they move the weights exactly as a counted
-	// OnPostSpikeRange does, and leave the counters alone.
+func TestApplyHelpersMatchOnPostSpike(t *testing.T) {
+	// applyPot/applyDep are the per-synapse kernels OnPostSpike runs:
+	// applied by hand they move the weights exactly as OnPostSpike does.
 	cfg, _, _ := PresetConfig(PresetFloat, Deterministic)
 	mk := func() *Plasticity {
 		m, _ := NewMatrix(2, 2, cfg.Format)
@@ -869,21 +811,15 @@ func TestApplyHelpersSkipCounters(t *testing.T) {
 		}
 		return p
 	}
-	byHand, counted := mk(), mk()
+	byHand, spiked := mk(), mk()
 	byHand.applyPot(0, 1, 2)
 	byHand.applyDep(1, 1, 2)
 	// Pre 0 fired inside the LTP window, pre 1 never: one LTP, one LTD.
-	counted.OnPostSpikeRange(1, 100, []float64{99, Never}, 2, 0, 2)
-	hw, cw := byHand.M.Weights(), counted.M.Weights()
+	spiked.OnPostSpike(1, 100, []float64{99, Never}, 2)
+	hw, sw := byHand.M.Weights(), spiked.M.Weights()
 	for i := range hw {
-		if hw[i] != cw[i] {
-			t.Fatalf("synapse %d: by hand %v, OnPostSpikeRange %v", i, hw[i], cw[i])
+		if hw[i] != sw[i] {
+			t.Fatalf("synapse %d: by hand %v, OnPostSpike %v", i, hw[i], sw[i])
 		}
-	}
-	if pot, dep := byHand.Counters(); pot != 0 || dep != 0 {
-		t.Fatalf("apply helpers counted: pot %d dep %d", pot, dep)
-	}
-	if pot, dep := counted.Counters(); pot != 1 || dep != 1 {
-		t.Fatalf("OnPostSpikeRange counted pot %d dep %d, want 1/1", pot, dep)
 	}
 }
